@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,7 +65,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The command-line parser, and the keys a --config file may set.
+
+    A config key is a long option without its dashes, mapped to the option's
+    action.  The scan parser holds every option of the other commands, so
+    its actions give all keys.
+    """
     parser = argparse.ArgumentParser(
         prog="cavgate",
         description="Conditional no-emission gate dynamics for atoms in a lossy cavity.",
@@ -125,33 +129,30 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--stop", type=float)
     scan.add_argument("--count", type=int)
     scan.add_argument("--spacing", choices=("linear", "log"))
-    scan.add_argument("--jobs", type=int, help="concurrent scan points (default: up to 4)")
 
     sub.add_parser("validate", parents=[common], help="print the regime report and exit accordingly")
     sub.add_parser("converge", parents=[common], help="report n_max -> n_max+1 and dt -> dt/2 deltas")
-    return parser
+    config_keys = {
+        opt[2:]: action
+        for action in scan._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt not in ("--help", "--config")
+    }
+    return parser, config_keys
 
 
-# type used to re-parse values appearing in a --config file
-_CONFIG_TYPES = {
-    "config": str, "scheme": str, "g": float, "n-max": int, "eps": float,
-    "n-outputs": int, "substeps": int, "threshold": float, "initial": str,
-    "output": str, "omega0": float, "kappa": float, "gamma": float,
-    "relax-window": _parse_bool, "delta": float, "delta0": float,
-    "delta1": float, "delta2": float, "omega-strong": float,
-    "omega00": float, "omega11": float, "omega22": float, "omega20": float,
-    "omega21": float, "gamma0": float, "gamma1": float, "gamma2": float,
-    "omega-w": float, "omega-s": float, "gamma-s": float, "tmax": float,
-    "samples-out": str, "sweep": str, "start": float, "stop": float,
-    "count": int, "spacing": str, "jobs": int,
-}
-
-_CONFIG_DESTS = {
-    "g": "g_scale",
-}
+def _config_value(action: argparse.Action, text: str):
+    """Convert and check a config-file value as the parser would the flag's."""
+    if action.nargs == 0:  # store_true
+        return _parse_bool(text)
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(repr(c) for c in action.choices)
+        raise ValueError(f"invalid choice {value!r} (choose from {choices})")
+    return value
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, config_keys: dict) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -162,11 +163,11 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_TYPES:
+            action = config_keys.get(key)
+            if action is None:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            dest = _CONFIG_DESTS.get(key, key.replace("-", "_"))
             try:
-                values[dest] = _CONFIG_TYPES[key](val.strip())
+                values[action.dest] = _config_value(action, val.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
@@ -175,9 +176,9 @@ def _load_config_file(path: str) -> dict:
 class _Settings:
     """Merged view of command-line flags, config-file values and defaults."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, config_keys: dict):
         self._cli = vars(args)
-        self._file = _load_config_file(args.config) if args.config else {}
+        self._file = _load_config_file(args.config, config_keys) if args.config else {}
 
     def get(self, dest: str, default=None):
         v = self._cli.get(dest)
@@ -459,14 +460,7 @@ def cmd_scan(s: _Settings) -> int:
         result = _run_one_gate(scheme, params, opts)
         return params, result, report
 
-    jobs = int(s.get("jobs", min(4, os.cpu_count() or 1)))
-    if jobs < 1:
-        raise ValueError("--jobs must be >= 1")
-    if jobs == 1:
-        outcomes = [run_point(v) for v in points]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_point, points))
+    outcomes = [run_point(v) for v in points]
 
     sweep_echo = {
         "sweep": sweep, "start": points[0], "stop": points[-1],
@@ -495,16 +489,12 @@ def cmd_validate(s: _Settings) -> int:
 def cmd_converge(s: _Settings) -> int:
     scheme = s.require("scheme", "--scheme")
     opts = _resolve_run_options(s, scheme)
-    values = _param_values(s)
-    params = _build_params(scheme, values)
+    params = _build_params(scheme, _param_values(s))
     report = _validate(scheme, params, opts["threshold"])
 
     if scheme == "shelving":
-        td = dark_time(params)
-        tmax = float(values["tmax"]) if values.get("tmax") is not None else 2.0 * td
-        base = survival_probability(params, [tmax])[0]
+        # the shelving model has no photon cutoff, so only the fit refines
         rows = [
-            ("p0(tmax) n_max -> n_max+1", base, base),
             ("fitted_dark_time fit_points -> 2x", fit_dark_time(params),
              fit_dark_time(params, n_points=400)),
         ]
@@ -526,10 +516,10 @@ def cmd_converge(s: _Settings) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, config_keys = _build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _Settings(args)
+        settings = _Settings(args, config_keys)
         handler = {
             "run": cmd_run,
             "scan": cmd_scan,

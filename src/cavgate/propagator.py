@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .hilbert import ConditionalGenerator, StateVector
 
 __all__ = [
@@ -226,8 +225,13 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
         raise ValueError("state basis does not match the generator basis")
     ks = _grid_steps(p, t_grid)
     counts = np.diff(np.concatenate(([0], ks)))
-    traj = _kernels.apply_steps(p.step_matrix, state0.amplitudes, counts)
-    return [StateVector(state0.basis, traj[i]) for i in range(len(ks))]
+    step, cur = p.step_matrix, state0.amplitudes
+    states = []
+    for count in counts:
+        for _ in range(count):
+            cur = step @ cur
+        states.append(StateVector(state0.basis, cur.copy()))
+    return states
 
 
 def no_photon_probability(p: PropagatorPlan, state0: StateVector, t: float) -> float:

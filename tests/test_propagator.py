@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate.hilbert import basis_state, build_basis
+from cavgate.hilbert import StateVector, basis_state, build_basis
 from cavgate.lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
 from cavgate.propagator import (
     expm,
@@ -179,6 +179,34 @@ def test_propagate_rejects_foreign_basis():
         propagate(p, basis_state(other, 0, "10"), [1.0])
 
 
+def _random_lambda_run(n_outputs):
+    rng = np.random.default_rng(0)
+    basis = build_basis("lambda", 2)
+    gen = build_generator_lambda(LambdaParams(omega0=0.1, kappa=1.0, gamma=1e-3), basis)
+    p = plan(gen, 30.0, n_outputs=n_outputs)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    return p, StateVector(basis, amps / np.linalg.norm(amps))
+
+
+def test_propagate_matches_step_matrix_powers():
+    p, state = _random_lambda_run(25)
+    ks = [0, 1, 6, 23, 25]
+    out = propagate(p, state, [k * p.dt for k in ks])
+    for k, s in zip(ks, out):
+        expected = np.linalg.matrix_power(p.step_matrix, k) @ state.amplitudes
+        assert np.abs(s.amplitudes - expected).max() <= 1e-10
+
+
+def test_propagate_repeated_time_returns_identical_state():
+    p, state = _random_lambda_run(10)
+    t = 3 * p.dt
+    out = propagate(p, state, [0.0, 0.0, t, t, t])
+    assert np.array_equal(out[0].amplitudes, state.amplitudes)
+    assert np.array_equal(out[1].amplitudes, out[0].amplitudes)
+    assert np.array_equal(out[3].amplitudes, out[2].amplitudes)
+    assert np.array_equal(out[4].amplitudes, out[2].amplitudes)
+
+
 def test_no_photon_probability_basics():
     basis = build_basis("shelving", 0)
     gen = build_generator_shelving(ShelvingParams(0.02, 1.0, 1.0), basis)
@@ -197,8 +225,6 @@ def test_norm_monotone_on_output_grid():
     for _ in range(10):
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amps /= np.linalg.norm(amps)
-        from cavgate.hilbert import StateVector
-
         traj = propagate(p, StateVector(basis, amps), output_times(p))
         norms = np.array([s.squared_norm() for s in traj])
         assert np.all(np.diff(norms) <= 1e-12)
