@@ -87,7 +87,6 @@ def _build_parser() -> tuple:
     common.add_argument("--n-max", type=int, help="photon-number cutoff")
     common.add_argument("--eps", type=float, help=f"propagator accuracy target (default {DEFAULT_EPS:g})")
     common.add_argument("--n-outputs", type=int, help=f"output grid size (default {DEFAULT_OUTPUTS})")
-    common.add_argument("--substeps", type=int, help="minimum sub-steps per output interval (default 1)")
     common.add_argument("--threshold", type=float,
                         help=f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})")
     common.add_argument("--initial", choices=QUBIT_CONFIGS, help="initial qubit configuration (default 10)")
@@ -131,7 +130,7 @@ def _build_parser() -> tuple:
     scan.add_argument("--spacing", choices=("linear", "log"))
 
     sub.add_parser("validate", parents=[common], help="print the regime report and exit accordingly")
-    sub.add_parser("converge", parents=[common], help="report n_max -> n_max+1 and dt -> dt/2 deltas")
+    sub.add_parser("converge", parents=[common], help="report n_max -> n_max+1 deltas")
     config_keys = {
         opt[2:]: action
         for action in scan._actions
@@ -198,7 +197,6 @@ def _resolve_run_options(s: _Settings, scheme: str) -> dict:
         "n_max": int(s.get("n_max", DEFAULT_N_MAX.get(scheme, 0))),
         "eps": float(s.get("eps", DEFAULT_EPS)),
         "n_outputs": int(s.get("n_outputs", DEFAULT_OUTPUTS)),
-        "substeps": int(s.get("substeps", 1)),
         "threshold": float(s.get("threshold", DEFAULT_THRESHOLD)),
         "initial": str(s.get("initial", "10")),
         "g_scale": float(s.get("g_scale", 1.0)),
@@ -292,8 +290,7 @@ def _echo_pairs(scheme: str, params, opts: dict, extra: dict | None = None) -> l
             pairs += [("relax_window", opts["relax_window"])]
     pairs += [
         ("eps", opts["eps"]), ("n_outputs", opts["n_outputs"]),
-        ("substeps", opts["substeps"]), ("threshold", opts["threshold"]),
-        ("g", opts["g_scale"]),
+        ("threshold", opts["threshold"]), ("g", opts["g_scale"]),
     ]
     for k, v in (extra or {}).items():
         pairs.append((k, v))
@@ -354,7 +351,7 @@ def _run_one_gate(scheme: str, params, opts: dict):
     return gate_run(
         scheme, params, _initial_vector(opts["initial"]),
         n_max=opts["n_max"], n_outputs=opts["n_outputs"], eps=opts["eps"],
-        min_substeps=opts["substeps"], relax_window=opts["relax_window"],
+        relax_window=opts["relax_window"],
     )
 
 
@@ -501,12 +498,9 @@ def cmd_converge(s: _Settings) -> int:
     else:
         base = _run_one_gate(scheme, params, opts)
         finer_n = _run_one_gate(scheme, params, {**opts, "n_max": opts["n_max"] + 1})
-        finer_dt = _run_one_gate(scheme, params, {**opts, "substeps": 2 * opts["substeps"]})
         rows = [
             (f"p0 n_max {opts['n_max']} -> {opts['n_max'] + 1}", base.p0, finer_n.p0),
             (f"fidelity n_max {opts['n_max']} -> {opts['n_max'] + 1}", base.fidelity, finer_n.fidelity),
-            ("p0 dt -> dt/2", base.p0, finer_dt.p0),
-            ("fidelity dt -> dt/2", base.fidelity, finer_dt.fidelity),
         ]
 
     print(f"{'quantity':<38} {'base':<24} {'refined':<24} |delta|")

@@ -130,6 +130,9 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         Unit-norm amplitudes over (00, 01, 10, 11), control atom first.
     n_max : int, optional
         Photon cutoff; defaults per scheme (see ``DEFAULT_N_MAX``).
+    n_outputs, min_substeps : int
+        Only set the time grid of the plan (see ``propagator.plan``); the
+        pulse is one exponential evaluated to ``eps``/10 either way.
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cavgate import propagator
 from cavgate.hilbert import StateVector, basis_state, build_basis
 from cavgate.lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
 from cavgate.propagator import (
@@ -72,14 +73,6 @@ def test_expm_tolerance_ladder():
     for tol in (1e-6, 1e-9, 1e-13):
         err = np.linalg.norm(expm(a, tol=tol) - ref) / np.linalg.norm(ref)
         assert err <= tol
-
-
-def test_expm_extra_squarings_consistent():
-    rng = np.random.default_rng(9)
-    a = random_matrix(rng, 10, 1.0)
-    base = expm(a, tol=1e-12)
-    finer = expm(a, tol=1e-12, extra_squarings=3)
-    assert np.linalg.norm(base - finer) / np.linalg.norm(base) <= 1e-11
 
 
 def test_plan_diagonal_decay_is_exact():
@@ -205,6 +198,24 @@ def test_propagate_repeated_time_returns_identical_state():
     assert np.array_equal(out[1].amplitudes, out[0].amplitudes)
     assert np.array_equal(out[3].amplitudes, out[2].amplitudes)
     assert np.array_equal(out[4].amplitudes, out[2].amplitudes)
+
+
+def test_output_grid_is_one_exponential_on_the_reachable_block(monkeypatch):
+    # |10> reaches 24 of the 36 lambda states; the other 12 stay exactly zero
+    shapes = []
+    real = propagator.expm
+
+    def counted(a, **kwargs):
+        shapes.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(propagator, "expm", counted)
+    basis = build_basis("lambda", 3)
+    gen = build_generator_lambda(LambdaParams(omega0=0.1, kappa=1.0, gamma=1e-3), basis)
+    p = plan(gen, 30.0, n_outputs=30)
+    traj = propagate(p, basis_state(basis, 0, "10"), output_times(p))
+    assert shapes == [(24, 24)]
+    assert all(np.count_nonzero(s.amplitudes) <= 24 for s in traj)
 
 
 def test_no_photon_probability_basics():
