@@ -86,7 +86,10 @@ def _build_parser() -> tuple:
                         help="unit scale for output columns only (default 1)")
     common.add_argument("--n-max", type=int, help="photon-number cutoff")
     common.add_argument("--eps", type=float, help=f"propagator accuracy target (default {DEFAULT_EPS:g})")
-    common.add_argument("--n-outputs", type=int, help=f"output grid size (default {DEFAULT_OUTPUTS})")
+    common.add_argument("--n-outputs", type=int, metavar="N",
+                        help=f"shelving: --samples-out holds N+1 survival samples evenly spaced over "
+                             f"[0, tmax] (default N={DEFAULT_OUTPUTS}); lambda and raman: only fixes "
+                             "the time grid and never changes a result")
     common.add_argument("--threshold", type=float,
                         help=f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})")
     common.add_argument("--initial", choices=QUBIT_CONFIGS, help="initial qubit configuration (default 10)")

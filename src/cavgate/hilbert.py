@@ -19,10 +19,15 @@ Units: hbar = 1 and every rate is expressed in units of the atom-cavity
 coupling g, so g = 1 unless stated otherwise.  Basis ordering is photon-
 number major with a fixed configuration order inside each photon sector,
 so serialized states are portable.
+
+Generators are assembled from constant operator terms, one per rate, kept
+as their nonzero entries (``sparse_term``) and scaled and summed by
+``assemble``; the scheme modules cache the terms of each photon cutoff.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -49,6 +54,8 @@ __all__ = [
     "lambda_symmetrization_matrix",
     "fock_lowering",
     "ket_bra",
+    "sparse_term",
+    "assemble",
 ]
 
 #: Partially symmetrized two-atom configurations of the lambda scheme, in
@@ -138,11 +145,13 @@ class Basis:
             raise SchemeMismatchError(f"expected a {scheme!r} basis, got {self.scheme!r}")
 
 
+@functools.lru_cache(maxsize=32)
 def build_basis(scheme: str, n_max: int) -> Basis:
     """Construct the deterministic basis for a level scheme.
 
     Dimensions: (n_max+1)*9 for lambda, (n_max+1)*36 for raman, and always 3
     for shelving (no cavity mode, so the photon cutoff is irrelevant there).
+    Memoised: equal arguments return the same (immutable) ``Basis``.
 
     Parameters
     ----------
@@ -329,3 +338,32 @@ def ket_bra(dim: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def sparse_term(m: np.ndarray) -> tuple:
+    """Nonzero entries of a constant operator term.
+
+    Returns read-only ``(flat_index, values)`` arrays, flat indices in
+    row-major order, for ``assemble``.
+    """
+    flat = np.flatnonzero(m)
+    values = m.reshape(-1)[flat]
+    flat.flags.writeable = False
+    values.flags.writeable = False
+    return flat, values
+
+
+def assemble(dim: int, coefficients, terms) -> np.ndarray:
+    """The dense matrix sum_k c_k A_k of sparse terms A_k.
+
+    The terms are added one after another into one zero matrix, so every
+    entry receives its contributions in term order: the result is bitwise
+    equal to accumulating the dense products c_k * A_k in that order.
+    """
+    # filled rather than np.zeros: on lazily zeroed pages the scattered
+    # adds below ran measurably slower
+    h = np.empty(dim * dim, dtype=np.complex128)
+    h.fill(0.0)
+    for c, (flat, values) in zip(coefficients, terms, strict=True):
+        h[flat] += c * values
+    return h.reshape(dim, dim)

@@ -16,6 +16,7 @@ probability, which serve as analytic cross-checks for the full numerics.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,9 +27,11 @@ from .hilbert import (
     Basis,
     ConditionalGenerator,
     Operator,
+    assemble,
     fock_lowering,
     ket_bra,
     lambda_symmetrization_matrix,
+    sparse_term,
 )
 from .regime import (
     DEFAULT_THRESHOLD,
@@ -109,26 +112,41 @@ def _atom2(op: np.ndarray) -> np.ndarray:
     return np.kron(_I3, op)
 
 
-def _to_symmetrized(h_product: np.ndarray, n_sectors: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _symmetrizer(n_sectors: int) -> np.ndarray:
+    """kron(I, W) over n_sectors photon sectors (read-only)."""
     w = np.kron(np.eye(n_sectors, dtype=np.complex128), lambda_symmetrization_matrix())
+    w.flags.writeable = False
+    return w
+
+
+def _to_symmetrized(h_product: np.ndarray, n_sectors: int) -> np.ndarray:
+    w = _symmetrizer(n_sectors)
     return w.conj().T @ h_product @ w
 
 
-def _cavity_term_product(g: float, n_max: int) -> np.ndarray:
-    # i g sum_i (|2>_i<1| b - h.c.)
+@functools.lru_cache(maxsize=8)
+def _product_terms(n_max: int) -> tuple:
+    """Constant terms of the three-level Hamiltonian in the product basis.
+
+    In the order ``_hamiltonian_matrix`` scales and adds them: the cavity
+    coupling i sum_i (|2>_i<1| b - h.c.), the laser drive
+    |0>_2<2| + |1>_1<2| + h.c., the photon number and the level-2
+    population of both atoms.  Read-only ``sparse_term``s, built on first
+    use of a cutoff.
+    """
+    nf = n_max + 1
     b = fock_lowering(n_max)
-    h = np.zeros(((n_max + 1) * 9,) * 2, dtype=np.complex128)
-    for emb in (_atom1, _atom2):
-        t = 1j * g * np.kron(b, emb(_T21))
-        h += t + t.conj().T
-    return h
-
-
-def _laser_term_product(omega0: float, n_max: int) -> np.ndarray:
-    # (omega0/2)(|0>_2<2| + |1>_1<2| + h.c.)
-    lower = (omega0 / 2.0) * (_atom2(_T02) + _atom1(_T12))
-    at = lower + lower.conj().T
-    return np.kron(np.eye(n_max + 1, dtype=np.complex128), at)
+    sectors = np.eye(nf, dtype=np.complex128)
+    cavity = 1j * (np.kron(b, _atom1(_T21)) + np.kron(b, _atom2(_T21)))
+    lower = _atom2(_T02) + _atom1(_T12)
+    terms = (
+        cavity + cavity.conj().T,
+        np.kron(sectors, lower + lower.conj().T),
+        np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128)),
+        np.kron(sectors, _atom1(_P22) + _atom2(_P22)),
+    )
+    return tuple(sparse_term(t) for t in terms)
 
 
 def _hamiltonian_matrix(g: float, omega0: float, kappa: float, gamma: float,
@@ -136,17 +154,13 @@ def _hamiltonian_matrix(g: float, omega0: float, kappa: float, gamma: float,
     """Conditional Hamiltonian in the symmetrized basis.
 
     Accepts signed g and omega0 so reduced models with negative effective
-    couplings can reuse the same structure.
+    couplings can reuse the same structure.  The product-basis terms of
+    ``basis.n_max`` are cached; each call only scales and adds them.
     """
     basis.require_scheme("lambda")
-    n_max = basis.n_max
-    nf = n_max + 1
-    h = _cavity_term_product(g, n_max)
-    h += _laser_term_product(omega0, n_max)
-    b = fock_lowering(n_max)
-    h += -0.5j * kappa * np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128))
-    h += -0.5j * gamma * np.kron(np.eye(nf, dtype=np.complex128), _atom1(_P22) + _atom2(_P22))
-    return _to_symmetrized(h, nf)
+    h = assemble(basis.dim, (g, omega0 / 2.0, -0.5j * kappa, -0.5j * gamma),
+                 _product_terms(basis.n_max))
+    return _to_symmetrized(h, basis.n_max + 1)
 
 
 def build_generator_lambda(params: LambdaParams, basis: Basis) -> ConditionalGenerator:
@@ -164,13 +178,16 @@ def build_generator_lambda(params: LambdaParams, basis: Basis) -> ConditionalGen
 def cavity_coupling(basis: Basis, g: float = 1.0) -> Operator:
     """Atom-cavity interaction operator alone (annihilates the DFS)."""
     basis.require_scheme("lambda")
-    return Operator(basis, _to_symmetrized(_cavity_term_product(g, basis.n_max), basis.n_max + 1))
+    cavity = _product_terms(basis.n_max)[0]
+    return Operator(basis, _to_symmetrized(assemble(basis.dim, [g], [cavity]), basis.n_max + 1))
 
 
 def laser_coupling(basis: Basis, omega0: float) -> Operator:
     """Laser drive operator alone."""
     basis.require_scheme("lambda")
-    return Operator(basis, _to_symmetrized(_laser_term_product(omega0, basis.n_max), basis.n_max + 1))
+    laser = _product_terms(basis.n_max)[1]
+    return Operator(basis, _to_symmetrized(assemble(basis.dim, [omega0 / 2.0], [laser]),
+                                           basis.n_max + 1))
 
 
 def pulse_duration(params: LambdaParams) -> float:

@@ -13,6 +13,7 @@ Matrix Anal. Appl. 26, 1179 (2005)), where backward error is at roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,17 +69,10 @@ def _theta_max(m: int, tol: float) -> float:
 def _pade_uv(a: np.ndarray, m: int) -> tuple:
     """U (odd part) and V (even part) of the degree-m Pade approximant."""
     b = _PADE_COEFFS[m]
-    n = a.shape[0]
-    ident = np.eye(n, dtype=np.complex128)
-    a2 = a @ a
     if m == 13:
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-        return u, v
+        return _pade13_uv(a, b)
+    ident = np.eye(a.shape[0], dtype=np.complex128)
+    a2 = a @ a
     pows = [ident, a2]
     for _ in range((m - 1) // 2 - 1):
         pows.append(pows[-1] @ a2)
@@ -87,6 +81,32 @@ def _pade_uv(a: np.ndarray, m: int) -> tuple:
     for k, p in enumerate(pows[1:], start=1):
         u = u + b[2 * k + 1] * p
         v = v + b[2 * k] * p
+    return a @ u, v
+
+
+def _pade13_uv(a: np.ndarray, b: tuple) -> tuple:
+    """Degree-13 U and V, with every sum accumulated in place.
+
+    U = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I) and
+    V = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + b0 I, each
+    sum taken left to right as written: the same operations, in the same
+    order, as the out-of-place expressions, through one scratch matrix.
+    """
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    scratch = np.empty_like(a2)
+
+    def add(out, *terms):
+        for c, p in terms:
+            out += np.multiply(c, p, out=scratch)
+        return out
+
+    diag = slice(None, None, a.shape[0] + 1)
+    u = add(a6 @ add(b[13] * a6, (b[11], a4), (b[9], a2)), (b[7], a6), (b[5], a4), (b[3], a2))
+    u.reshape(-1)[diag] += b[1]
+    v = add(a6 @ add(b[12] * a6, (b[10], a4), (b[8], a2)), (b[6], a6), (b[4], a4), (b[2], a2))
+    v.reshape(-1)[diag] += b[0]
     return a @ u, v
 
 
@@ -116,8 +136,11 @@ def expm(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scaled = a / (2.0 ** s) if s else a
     u, v = _pade_uv(scaled, m)
     f = np.linalg.solve(v - u, v + u)
+    # square s times, alternating between f and one spare C-ordered buffer
+    spare = np.empty(f.shape, dtype=np.complex128)
     for _ in range(s):
-        f = f @ f
+        np.matmul(f, f, out=spare)
+        f, spare = spare, f
     return f
 
 
@@ -172,8 +195,25 @@ def plan(generator: ConditionalGenerator, t_total: float,
 
 
 def _reachable(g: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Indices of the states G connects to ``support`` (a boolean mask)."""
+    """Indices of the states G connects to ``support`` (a boolean mask).
+
+    Memoised on the zero pattern of G and on the support, so every
+    generator with one structure gets the same read-only index array.
+    """
     link = g != 0.0
+    return _reachable_block(link.shape, link.tobytes(), support.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _reachable_block(shape: tuple, link: bytes, support: bytes) -> np.ndarray:
+    block = _closure(np.frombuffer(link, dtype=bool).reshape(shape),
+                     np.frombuffer(support, dtype=bool))
+    block.flags.writeable = False
+    return block
+
+
+def _closure(link: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Indices reachable from ``support`` along the nonzero pattern ``link``."""
     reach = support
     while True:
         grown = reach | link[:, reach].any(axis=1)

@@ -19,6 +19,7 @@ one reuses the three-level machinery and serves as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +29,11 @@ from .hilbert import (
     Basis,
     ConditionalGenerator,
     RAMAN_LEVELS,
+    assemble,
     fock_lowering,
     ket_bra,
     lambda_symmetrization_matrix,
+    sparse_term,
 )
 from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian
 from .regime import (
@@ -141,35 +144,52 @@ def _atom2(op: np.ndarray) -> np.ndarray:
     return np.kron(_I6, op)
 
 
+@functools.lru_cache(maxsize=8)
+def _raman_terms(n_max: int) -> tuple:
+    """Constant operator terms of the six-level Hamiltonian, one per rate.
+
+    In the order ``build_generator_raman`` scales and adds them: the weak
+    drive of atom 1 and of atom 2, then for j = 0, 1, 2 the strong drive
+    of both atoms and their projector on e_j, then the cavity coupling and
+    the photon number.  Each is a read-only ``sparse_term`` over the
+    (n_max+1)*36 basis, built on first use of a cutoff.
+    """
+    nf = n_max + 1
+    b = fock_lowering(n_max)
+    sectors = np.eye(nf, dtype=np.complex128)
+
+    def hermitian(op):
+        return op + op.conj().T
+
+    atomic = [hermitian(_atom1(ket_bra(6, _LEV["2"], _LEV["e1"]))),
+              hermitian(_atom2(ket_bra(6, _LEV["2"], _LEV["e0"])))]
+    for j in range(3):
+        drive = ket_bra(6, _LEV[str(j)], _LEV[f"e{j}"])
+        proj = ket_bra(6, _LEV[f"e{j}"], _LEV[f"e{j}"])
+        atomic += [hermitian(_atom1(drive) + _atom2(drive)), _atom1(proj) + _atom2(proj)]
+    terms = [np.kron(sectors, op) for op in atomic]
+    jump = ket_bra(6, _LEV["e2"], _LEV["1"])
+    terms.append(hermitian(1j * (np.kron(b, _atom1(jump)) + np.kron(b, _atom2(jump)))))
+    terms.append(np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128)))
+    return tuple(sparse_term(t) for t in terms)
+
+
 def build_generator_raman(params: RamanParams, basis: Basis) -> ConditionalGenerator:
     """Generator G = -i H of the full six-level no-emission dynamics.
 
     H carries the 1-e2 cavity coupling of each atom, the two weak drives,
     the three strong drives on both atoms, the detuning of each excited
-    state, the cavity damping and the excited-state decay.
+    state, the cavity damping and the excited-state decay.  It is the sum
+    of the cached constant terms of ``basis.n_max``, each scaled by its rate.
     """
     basis.require_scheme("raman")
-    n_max = basis.n_max
-    nf = n_max + 1
-    b = fock_lowering(n_max)
-
-    at = np.zeros((36, 36), dtype=np.complex128)
-    weak = (params.omega21 / 2.0) * _atom1(ket_bra(6, _LEV["2"], _LEV["e1"]))
-    weak += (params.omega20 / 2.0) * _atom2(ket_bra(6, _LEV["2"], _LEV["e0"]))
-    at += weak + weak.conj().T
+    coefficients = [params.omega21 / 2.0, params.omega20 / 2.0]
     for j in range(3):
-        drive = ket_bra(6, _LEV[str(j)], _LEV[f"e{j}"])
-        strong = (params.omega_diag[j] / 2.0) * (_atom1(drive) + _atom2(drive))
-        at += strong + strong.conj().T
-        proj = ket_bra(6, _LEV[f"e{j}"], _LEV[f"e{j}"])
-        at += (params.delta[j] - 0.5j * params.gamma[j]) * (_atom1(proj) + _atom2(proj))
-
-    h = np.kron(np.eye(nf, dtype=np.complex128), at)
-    for emb in (_atom1, _atom2):
-        t = 1j * params.g * np.kron(b, emb(ket_bra(6, _LEV["e2"], _LEV["1"])))
-        h += t + t.conj().T
-    h += -0.5j * params.kappa * np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128))
-    return ConditionalGenerator(basis, -1j * h)
+        coefficients += [params.omega_diag[j] / 2.0, params.delta[j] - 0.5j * params.gamma[j]]
+    coefficients += [params.g, -0.5j * params.kappa]
+    h = assemble(basis.dim, coefficients, _raman_terms(basis.n_max))
+    h *= -1j  # G = -i H in place; exact, it only swaps and negates parts
+    return ConditionalGenerator(basis, h)
 
 
 def _shift_hamiltonian(view: EffectiveLambdaView, n_max: int) -> np.ndarray:

@@ -1,10 +1,23 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here is transcribed or brute-forced without touching the
-package's operator builders, so agreement is a genuine cross-check.
+package's operator builders, so agreement is a genuine cross-check.  The
+kron builders and ``reference_expm`` are the package's earlier dense
+implementations, with every operation and its order kept: the cached-term
+builders and the in-place ``expm`` must reproduce them bit for bit.
 """
 
+import math
+
 import numpy as np
+
+from cavgate.hilbert import (
+    ConditionalGenerator,
+    RAMAN_LEVELS,
+    fock_lowering,
+    ket_bra,
+    lambda_symmetrization_matrix,
+)
 
 SYM = ("00", "01", "10", "11", "02", "20", "a", "s", "22")
 
@@ -82,3 +95,98 @@ def align_phase(v: np.ndarray) -> np.ndarray:
     if abs(v[k]) < 1e-14:
         return v
     return v * (abs(v[k]) / v[k])
+
+
+# --------------------------------------------------------------- kron builders
+
+_LEV = {name: i for i, name in enumerate(RAMAN_LEVELS)}
+_I6 = np.eye(6, dtype=np.complex128)
+_I3 = np.eye(3, dtype=np.complex128)
+_T21 = ket_bra(3, 2, 1)   # |2><1|
+_T02 = ket_bra(3, 0, 2)   # |0><2|
+_T12 = ket_bra(3, 1, 2)   # |1><2|
+_P22 = ket_bra(3, 2, 2)
+
+
+def kron_generator_raman(params, basis):
+    """Six-level generator built densely with np.kron, term by term."""
+    basis.require_scheme("raman")
+    atom1 = lambda op: np.kron(op, _I6)
+    atom2 = lambda op: np.kron(_I6, op)
+    n_max = basis.n_max
+    nf = n_max + 1
+    b = fock_lowering(n_max)
+
+    at = np.zeros((36, 36), dtype=np.complex128)
+    weak = (params.omega21 / 2.0) * atom1(ket_bra(6, _LEV["2"], _LEV["e1"]))
+    weak += (params.omega20 / 2.0) * atom2(ket_bra(6, _LEV["2"], _LEV["e0"]))
+    at += weak + weak.conj().T
+    for j in range(3):
+        drive = ket_bra(6, _LEV[str(j)], _LEV[f"e{j}"])
+        strong = (params.omega_diag[j] / 2.0) * (atom1(drive) + atom2(drive))
+        at += strong + strong.conj().T
+        proj = ket_bra(6, _LEV[f"e{j}"], _LEV[f"e{j}"])
+        at += (params.delta[j] - 0.5j * params.gamma[j]) * (atom1(proj) + atom2(proj))
+
+    h = np.kron(np.eye(nf, dtype=np.complex128), at)
+    for emb in (atom1, atom2):
+        t = 1j * params.g * np.kron(b, emb(ket_bra(6, _LEV["e2"], _LEV["1"])))
+        h += t + t.conj().T
+    h += -0.5j * params.kappa * np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128))
+    return ConditionalGenerator(basis, -1j * h)
+
+
+def kron_hamiltonian_lambda(g, omega0, kappa, gamma, basis):
+    """Three-level Hamiltonian in the symmetrized basis, built densely with np.kron."""
+    basis.require_scheme("lambda")
+    atom1 = lambda op: np.kron(op, _I3)
+    atom2 = lambda op: np.kron(_I3, op)
+    n_max = basis.n_max
+    nf = n_max + 1
+    b = fock_lowering(n_max)
+    h = np.zeros((nf * 9,) * 2, dtype=np.complex128)
+    for emb in (atom1, atom2):
+        t = 1j * g * np.kron(b, emb(_T21))
+        h += t + t.conj().T
+    lower = (omega0 / 2.0) * (atom2(_T02) + atom1(_T12))
+    h += np.kron(np.eye(nf, dtype=np.complex128), lower + lower.conj().T)
+    h += -0.5j * kappa * np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128))
+    h += -0.5j * gamma * np.kron(np.eye(nf, dtype=np.complex128), atom1(_P22) + atom2(_P22))
+    w = np.kron(np.eye(nf, dtype=np.complex128), lambda_symmetrization_matrix())
+    return w.conj().T @ h @ w
+
+
+def kron_generator_lambda(params, basis):
+    return ConditionalGenerator(
+        basis, -1j * kron_hamiltonian_lambda(params.g, params.omega0, params.kappa, params.gamma, basis))
+
+
+# --------------------------------------------------------------- reference expm
+
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA_13 = 5.371920351148152
+
+
+def reference_expm(a):
+    """The degree-13 scaling-and-squaring path of ``expm``, with its sums
+    and squarings out of place (one temporary per operation)."""
+    a = np.asarray(a, dtype=np.complex128)
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    a = a / (2.0 ** s) if s else a
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=np.complex128)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    f = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        f = f @ f
+    return f

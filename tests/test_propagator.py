@@ -14,6 +14,7 @@ from cavgate.propagator import (
 )
 from cavgate.raman_gate import RamanParams, build_generator_raman, raman_pulse_duration
 from cavgate.shelving import ShelvingParams, build_generator_shelving
+from oracles import reference_expm
 
 
 def random_matrix(rng, dim, scale):
@@ -54,6 +55,33 @@ def test_expm_dissipative_generator_large_time():
     assert np.linalg.norm(ours - ref) / np.linalg.norm(ref) <= 1e-9
     # contractive up to the roundoff of ~20 squarings
     assert np.linalg.norm(ours, 2) <= 1.0 + 1e-9
+
+
+def _gate_block(params):
+    basis = build_basis("raman", 2)
+    g = build_generator_raman(params, basis).matrix
+    block = propagator._reachable(g, basis_state(basis, 0, "10").amplitudes != 0.0)
+    return g[np.ix_(block, block)] * raman_pulse_duration(params)
+
+
+@pytest.mark.parametrize("case", ["W2", "long_3e4", "random", "random_antihermitian"])
+def test_expm_bitwise_equals_out_of_place_reference(case):
+    # the in-place Pade sums and ping-pong squarings keep every operation
+    # and its order, so results must be identical, not merely close
+    rng = np.random.default_rng(17)
+    if case == "W2":
+        mats = [_gate_block(RamanParams(omega20=0.05, omega21=0.05))]
+    elif case == "long_3e4":
+        mats = [_gate_block(RamanParams(delta=3e4, omega_diag=20.0 * np.sqrt(0.3), kappa=1e-4,
+                                        omega20=0.01, omega21=0.01))]
+    elif case == "random":
+        mats = [random_matrix(rng, dim, scale / dim)
+                for dim in (5, 24, 72) for scale in (1.0, 4.0, 30.0, 1e3)]
+    else:
+        h = random_matrix(rng, 40, 1.0)
+        mats = [-1j * scale * (h + h.conj().T) for scale in (0.5, 1e2, 1e5)]
+    for a in mats:
+        assert np.array_equal(expm(a, tol=1e-10), reference_expm(a))
 
 
 def test_expm_trivial_and_errors():
