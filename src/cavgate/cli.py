@@ -11,8 +11,10 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +39,12 @@ CSV_COLUMNS = (
     "fidelity_unconditional",
 )
 
-_SWEEPABLE = {
-    "lambda": ("omega0", "kappa", "gamma"),
-    "raman": ("omega20", "omega21", "omega-weak", "kappa", "gamma", "delta", "omega-strong"),
-}
+SCHEMES = ("lambda", "raman", "shelving")
+COMMANDS = ("run", "scan", "validate", "converge")
+_GATES = ("lambda", "raman")
+_LAMBDA, _RAMAN, _SHELVING = ("lambda",), ("raman",), ("shelving",)
+_GATE_RUNS = ("run", "scan", "converge")  # commands that run a gate
+_WRITERS = ("run", "scan")  # commands that print result rows
 
 
 def _fmt(x) -> str:
@@ -65,12 +69,117 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _positive(text: str) -> float:
+    """argparse type of a unit scale, threshold, horizon or accuracy target."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return x
+
+
+def _count(text: str) -> int:
+    """argparse type of a number of samples or scan points."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+class _Option(NamedTuple):
+    """One row of ``_OPTIONS``: read by ``commands`` under ``schemes``, rejected elsewhere.
+
+    A rate row fills ``field`` of the scheme's parameter dataclass, entry ``j`` of
+    a triple if given; a run option has a ``default``.  Both are echoed in ``# params:``.
+    """
+
+    flag: str
+    schemes: tuple
+    commands: tuple
+    help: str
+    kwargs: dict = {}  # further argparse keywords
+    field: str | None = None
+    j: int | None = None
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        """The config-file key with underscores: the name in ``# params:``."""
+        return self.flag[2:].replace("-", "_")
+
+    def used(self, command: str, scheme: str) -> bool:
+        return command in self.commands and scheme in self.schemes
+
+
+def _rate(flag: str, schemes: tuple, help: str, field: str | None = None, j: int | None = None):
+    """A rate in units of g, read by every command of its schemes."""
+    return _Option(flag, schemes, COMMANDS, help, {"type": float}, field or flag[2:].replace("-", "_"), j)
+
+
+def _per_j(flag: str, field: str, what: str) -> tuple:
+    return tuple(_rate(flag.format(j=j), _RAMAN, f"{what} of e_{j}, overriding the broadcast value",
+                       field, j) for j in range(3))
+
+
+_OPTIONS = (
+    _Option("--config", SCHEMES, COMMANDS, "flat key=value file; command-line flags override it"),
+    _Option("--scheme", SCHEMES, COMMANDS, "level scheme", {"choices": SCHEMES}),
+    # rates: fields of LambdaParams, RamanParams and ShelvingParams
+    _rate("--omega0", _LAMBDA, "laser Rabi frequency"),
+    _rate("--omega20", _RAMAN, "weak field on atom 2 (default 0.05)"),
+    _rate("--omega21", _RAMAN, "weak field on atom 1 (default omega20)"),
+    _rate("--kappa", _GATES, "cavity decay (default 1 for lambda, |g_eff| for raman)"),
+    _rate("--delta", _RAMAN, "detuning broadcast over j (default 1000)"),
+    *_per_j("--delta{j}", "delta", "detuning"),
+    _rate("--omega-strong", _RAMAN, "strong Rabi frequency broadcast over j (default 2)", "omega_diag"),
+    *_per_j("--omega{j}{j}", "omega_diag", "strong Rabi frequency"),
+    _rate("--gamma", _GATES, "atomic decay (default 0; broadcast over j for raman)"),
+    *_per_j("--gamma{j}", "gamma", "atomic decay"),
+    _rate("--omega-w", _SHELVING, "weak Rabi frequency"),
+    _rate("--omega-s", _SHELVING, "strong Rabi frequency (default 1)"),
+    _rate("--gamma-s", _SHELVING, "upper-level decay (default 1)"),
+    # run options
+    _Option("--initial", _GATES, _GATE_RUNS, "initial qubit configuration (default 10)",
+            {"choices": QUBIT_CONFIGS}, default="10"),
+    _Option("--n-max", _GATES, _GATE_RUNS, "photon-number cutoff (default 3 for lambda, 2 for raman)",
+            {"type": int}, default=DEFAULT_N_MAX),
+    _Option("--relax-window", _LAMBDA, _GATE_RUNS, "append a laser-free window of 5/gamma before scoring",
+            {"action": "store_true", "default": None}, default=False),
+    _Option("--eps", _GATES, _GATE_RUNS, f"propagator accuracy target (default {DEFAULT_EPS:g})",
+            {"type": _positive}, default=DEFAULT_EPS),
+    _Option("--n-outputs", SCHEMES, _WRITERS, f"shelving: --samples-out holds N+1 samples over [0, tmax] "
+            f"(default N={DEFAULT_OUTPUTS}); lambda and raman: only fixes the time grid",
+            {"type": _count, "metavar": "N"}, default=DEFAULT_OUTPUTS),
+    _Option("--threshold", SCHEMES, COMMANDS, f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})",
+            {"type": _positive}, default=DEFAULT_THRESHOLD),
+    _Option("--g", SCHEMES, _WRITERS, "unit scale for output columns only (default 1)",
+            {"type": _positive}, default=1.0),
+    # outputs, the shelving horizon and the sweep
+    _Option("--output", SCHEMES, _WRITERS, "write the result CSV to this path"),
+    _Option("--tmax", _SHELVING, ("run",), "survival horizon (default 2 T_dark)", {"type": _positive}),
+    _Option("--samples-out", _SHELVING, ("run",), "write t,p0 survival samples to this path"),
+    _Option("--sweep", _GATES, ("scan",), "rate to sweep (omega-weak sets omega20 and omega21)"),
+    _Option("--start", _GATES, ("scan",), "first sweep value", {"type": float}),
+    _Option("--stop", _GATES, ("scan",), "last sweep value", {"type": float}),
+    _Option("--count", _GATES, ("scan",), "number of sweep values", {"type": _count}),
+    _Option("--spacing", _GATES, ("scan",), "spacing (default linear)", {"choices": ("linear", "log")}),
+)
+
+_PARAMS = {"lambda": LambdaParams, "raman": RamanParams, "shelving": ShelvingParams}
+# CLI defaults that differ from the dataclass defaults, from the fields resolved before them
+_CLI_DEFAULTS = {
+    "raman": {"omega21": lambda kw: kw["omega20"],
+              "kappa": lambda kw: abs(kw["omega_diag"][2] / (2.0 * kw["delta"][2]))},  # |g_eff| at g = 1
+    "shelving": {"omega_s": lambda kw: 1.0, "gamma_s": lambda kw: 1.0},
+}
+
+
 def _build_parser() -> tuple:
     """The command-line parser, and the keys a --config file may set.
 
-    A config key is a long option without its dashes, mapped to the option's
-    action.  The scan parser holds every option of the other commands, so
-    its actions give all keys.
+    Every command takes every option of the table, so that an option set
+    where the run would not read it reaches ``_reject_unused`` from a flag
+    or from a file alike.  A config key is a long option without its
+    dashes, mapped to the option's action.
     """
     parser = argparse.ArgumentParser(
         prog="cavgate",
@@ -80,65 +189,20 @@ def _build_parser() -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value file; command-line flags override it")
-    common.add_argument("--scheme", choices=("lambda", "raman", "shelving"))
-    common.add_argument("--g", dest="g_scale", type=float,
-                        help="unit scale for output columns only (default 1)")
-    common.add_argument("--n-max", type=int, help="photon-number cutoff")
-    common.add_argument("--eps", type=float, help=f"propagator accuracy target (default {DEFAULT_EPS:g})")
-    common.add_argument("--n-outputs", type=int, metavar="N",
-                        help=f"shelving: --samples-out holds N+1 survival samples evenly spaced over "
-                             f"[0, tmax] (default N={DEFAULT_OUTPUTS}); lambda and raman: only fixes "
-                             "the time grid and never changes a result")
-    common.add_argument("--threshold", type=float,
-                        help=f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})")
-    common.add_argument("--initial", choices=QUBIT_CONFIGS, help="initial qubit configuration (default 10)")
-    common.add_argument("--output", help="write the result CSV to this path")
-    # three-level scheme
-    common.add_argument("--omega0", type=float, help="lambda: laser Rabi frequency")
-    common.add_argument("--kappa", type=float,
-                        help="cavity decay (default 1 for lambda, |g_eff| for raman)")
-    common.add_argument("--gamma", type=float, help="atomic decay (broadcast over e_j for raman)")
-    common.add_argument("--relax-window", action="store_true", default=None,
-                        help="lambda: append a laser-free window of 5/gamma before scoring")
-    # six-level scheme
-    common.add_argument("--delta", type=float, help="raman: detuning broadcast over j (default 1000)")
-    common.add_argument("--delta0", type=float)
-    common.add_argument("--delta1", type=float)
-    common.add_argument("--delta2", type=float)
-    common.add_argument("--omega-strong", type=float,
-                        help="raman: strong Rabi frequency broadcast over j (default 2)")
-    common.add_argument("--omega00", type=float)
-    common.add_argument("--omega11", type=float)
-    common.add_argument("--omega22", type=float)
-    common.add_argument("--omega20", type=float, help="raman: weak field on atom 2 (default 0.05)")
-    common.add_argument("--omega21", type=float, help="raman: weak field on atom 1 (default omega20)")
-    common.add_argument("--gamma0", type=float)
-    common.add_argument("--gamma1", type=float)
-    common.add_argument("--gamma2", type=float)
-    # shelving
-    common.add_argument("--omega-w", type=float, help="shelving: weak Rabi frequency")
-    common.add_argument("--omega-s", type=float, help="shelving: strong Rabi frequency (default 1)")
-    common.add_argument("--gamma-s", type=float, help="shelving: upper-level decay (default 1)")
-    common.add_argument("--tmax", type=float, help="shelving: survival horizon (default 2 T_dark)")
-    common.add_argument("--samples-out", help="shelving: write t,p0 survival samples to this path")
-
-    sub.add_parser("run", parents=[common], help="single gate run (or shelving survival run)")
-
-    scan = sub.add_parser("scan", parents=[common], help="sweep one parameter, one CSV row per point")
-    scan.add_argument("--sweep", help="parameter to sweep (omega-weak sets omega20 and omega21)")
-    scan.add_argument("--start", type=float)
-    scan.add_argument("--stop", type=float)
-    scan.add_argument("--count", type=int)
-    scan.add_argument("--spacing", choices=("linear", "log"))
-
-    sub.add_parser("validate", parents=[common], help="print the regime report and exit accordingly")
-    sub.add_parser("converge", parents=[common], help="report n_max -> n_max+1 deltas")
+    for row in _OPTIONS:
+        where = (", ".join(row.schemes) if row.schemes != SCHEMES else "all schemes",
+                 ", ".join(row.commands) if row.commands != COMMANDS else "all commands")
+        common.add_argument(row.flag, help=f"{row.help} [{'; '.join(where)}]", **row.kwargs)
+    for command, text in zip(COMMANDS, ("single gate run (or shelving survival run)",
+                                        "sweep one lambda or raman rate, one CSV row per point",
+                                        "print the regime report and exit accordingly",
+                                        "report n_max -> n_max+1 deltas")):
+        sub.add_parser(command, parents=[common], help=text)
     config_keys = {
         opt[2:]: action
-        for action in scan._actions
+        for action in common._actions
         for opt in action.option_strings
-        if opt.startswith("--") and opt not in ("--help", "--config")
+        if opt != "--config"
     }
     return parser, config_keys
 
@@ -170,7 +234,7 @@ def _load_config_file(path: str, config_keys: dict) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
             try:
                 values[action.dest] = _config_value(action, val.strip())
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
@@ -194,74 +258,62 @@ class _Settings:
             raise ValueError(f"missing required parameter {flag!r} for this scheme/command")
         return v
 
+    def source(self, dest: str) -> str:
+        """Where a value was set: 'flag', 'config file', both, or '' if unset."""
+        return " and ".join(name for name, values in (("flag", self._cli), ("config file", self._file))
+                            if values.get(dest) is not None)
+
+
+def _swept(s: _Settings, scheme: str) -> tuple:
+    """The dests a scan sets at each point: one broadcast rate, or omega-weak."""
+    if scheme == "shelving":
+        raise ValueError("scan supports the lambda and raman schemes; use run for shelving")
+    sweep = s.require("sweep", "--sweep")
+    rates = {row.flag[2:]: (row.dest,) for row in _OPTIONS
+             if row.field and row.j is None and scheme in row.schemes}
+    if scheme == "raman":
+        rates["omega-weak"] = ("omega20", "omega21")
+    if sweep not in rates:
+        raise ValueError(f"cannot sweep {sweep!r} in the {scheme} scheme; choose one of {tuple(rates)}")
+    return rates[sweep]
+
+
+def _reject_unused(s: _Settings, command: str, scheme: str) -> None:
+    """Raise ValueError naming every option set that this run would not read."""
+    swept = _swept(s, scheme) if command == "scan" else ()
+    stray = [
+        f"{row.flag} ({s.source(row.dest)}{'; --sweep sets it' if row.dest in swept else ''})"
+        for row in _OPTIONS
+        if s.source(row.dest) and (not row.used(command, scheme) or row.dest in swept)
+    ]
+    if stray:
+        raise ValueError(f"{command} --scheme {scheme} does not read " + ", ".join(stray))
+
 
 def _resolve_run_options(s: _Settings, scheme: str) -> dict:
+    """Every run option (a row with a default): flag, else file, else default."""
     return {
-        "n_max": int(s.get("n_max", DEFAULT_N_MAX.get(scheme, 0))),
-        "eps": float(s.get("eps", DEFAULT_EPS)),
-        "n_outputs": int(s.get("n_outputs", DEFAULT_OUTPUTS)),
-        "threshold": float(s.get("threshold", DEFAULT_THRESHOLD)),
-        "initial": str(s.get("initial", "10")),
-        "g_scale": float(s.get("g_scale", 1.0)),
-        "relax_window": bool(s.get("relax_window", False)),
+        row.dest: s.get(row.dest, row.default.get(scheme) if isinstance(row.default, dict) else row.default)
+        for row in _OPTIONS if row.default is not None
     }
 
 
-def _lambda_params(values: dict) -> LambdaParams:
-    if values.get("omega0") is None:
-        raise ValueError("missing required parameter '--omega0' for the lambda scheme")
-    return LambdaParams(
-        omega0=float(values["omega0"]),
-        kappa=float(values.get("kappa") if values.get("kappa") is not None else 1.0),
-        gamma=float(values.get("gamma") if values.get("gamma") is not None else 0.0),
-    )
-
-
-def _raman_params(values: dict) -> RamanParams:
-    def per_j(base: str, default: float) -> tuple:
-        broad = values.get(base)
-        broad = default if broad is None else float(broad)
-        keys = {
-            "delta": ("delta0", "delta1", "delta2"),
-            "omega_strong": ("omega00", "omega11", "omega22"),
-            "gamma": ("gamma0", "gamma1", "gamma2"),
-        }[base]
-        return tuple(
-            float(values[k]) if values.get(k) is not None else broad for k in keys
-        )
-
-    delta = per_j("delta", 1000.0)
-    om_diag = per_j("omega_strong", 2.0)
-    gam = per_j("gamma", 0.0)
-    omega20 = float(values.get("omega20") if values.get("omega20") is not None else 0.05)
-    omega21 = float(values.get("omega21") if values.get("omega21") is not None else omega20)
-    kappa = values.get("kappa")
-    if kappa is None:
-        kappa = abs(-1.0 * om_diag[2] / (2.0 * delta[2]))  # |g_eff| at g = 1
-    return RamanParams(
-        g=1.0, kappa=float(kappa), delta=delta, omega_diag=om_diag,
-        omega20=omega20, omega21=omega21, gamma=gam,
-    )
-
-
-def _shelving_params(values: dict) -> ShelvingParams:
-    if values.get("omega_w") is None:
-        raise ValueError("missing required parameter '--omega-w' for the shelving scheme")
-    return ShelvingParams(
-        omega_w=float(values["omega_w"]),
-        omega_s=float(values.get("omega_s") if values.get("omega_s") is not None else 1.0),
-        gamma_s=float(values.get("gamma_s") if values.get("gamma_s") is not None else 1.0),
-    )
-
-
-def _param_values(s: _Settings) -> dict:
-    """Raw (pre-defaulting) physical parameter values from flags and file."""
-    keys = (
-        "omega0", "kappa", "gamma", "delta", "delta0", "delta1", "delta2",
-        "omega_strong", "omega00", "omega11", "omega22", "omega20", "omega21",
-        "gamma0", "gamma1", "gamma2", "omega_w", "omega_s", "gamma_s", "tmax",
-    )
-    return {k: s.get(k) for k in keys}
+def _build_params(scheme: str, get):
+    """The scheme's parameter dataclass from ``get(dest)``, None where unset."""
+    cls, cli_defaults = _PARAMS[scheme], _CLI_DEFAULTS.get(scheme, {})
+    kw = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in cli_defaults}
+    for row in (r for r in _OPTIONS if r.field and scheme in r.schemes):
+        value = get(row.dest)
+        if value is not None and row.j is not None:  # one entry of the triple its broadcast row set
+            kw[row.field] = kw[row.field][:row.j] + (value,) + kw[row.field][row.j + 1:]
+        elif value is not None:
+            kw[row.field] = (value,) * 3 if isinstance(kw.get(row.field), tuple) else value
+        elif kw.get(row.field) is dataclasses.MISSING:
+            raise ValueError(f"missing required parameter {row.flag!r} for the {scheme} scheme")
+    for field, default in cli_defaults.items():
+        if field not in kw:
+            kw[field] = default(kw)
+    return cls(**kw)
 
 
 def _join_per_j(vals: tuple, gs: float) -> str:
@@ -271,36 +323,17 @@ def _join_per_j(vals: tuple, gs: float) -> str:
     return ";".join(_fmt(v) for v in scaled)
 
 
-def _echo_pairs(scheme: str, params, opts: dict, extra: dict | None = None) -> list:
+def _echo_line(command: str, scheme: str, params, opts: dict, extra: dict) -> str:
+    """The ``# params:`` line: every rate and run option the run reads."""
     pairs = [("scheme", scheme)]
-    if scheme == "lambda":
-        pairs += [("omega0", params.omega0), ("kappa", params.kappa),
-                  ("gamma", params.gamma)]
-    elif scheme == "raman":
-        pairs += [
-            ("omega20", params.omega20), ("omega21", params.omega21),
-            ("kappa", params.kappa),
-            ("delta", ";".join(_fmt(d) for d in params.delta)),
-            ("omega_strong", ";".join(_fmt(v) for v in params.omega_diag)),
-            ("gamma", ";".join(_fmt(v) for v in params.gamma)),
-        ]
-    else:
-        pairs += [("omega_w", params.omega_w), ("omega_s", params.omega_s),
-                  ("gamma_s", params.gamma_s)]
-    if scheme in ("lambda", "raman"):
-        pairs += [("initial", opts["initial"]), ("n_max", opts["n_max"])]
-        if scheme == "lambda":
-            pairs += [("relax_window", opts["relax_window"])]
-    pairs += [
-        ("eps", opts["eps"]), ("n_outputs", opts["n_outputs"]),
-        ("threshold", opts["threshold"]), ("g", opts["g_scale"]),
-    ]
-    for k, v in (extra or {}).items():
-        pairs.append((k, v))
-    return pairs
-
-
-def _echo_line(pairs: list) -> str:
+    for row in _OPTIONS:
+        if row.field and row.j is None and scheme in row.schemes:
+            value = getattr(params, row.field)
+            pairs.append((row.dest, ";".join(map(_fmt, value)) if isinstance(value, tuple) else value))
+        # the shelving echo has always carried eps, which the survival curve never reads
+        elif row.default is not None and (row.used(command, scheme) or row.dest == "eps"):
+            pairs.append((row.dest, opts[row.dest]))
+    pairs += extra.items()
     return "# params: " + " ".join(
         f"{k}={v if isinstance(v, str) else _fmt(v)}" for k, v in pairs
     )
@@ -313,7 +346,7 @@ def _initial_vector(label: str) -> np.ndarray:
 
 
 def _gate_row(scheme: str, params, result, opts: dict) -> list:
-    gs = opts["g_scale"]
+    gs = opts["g"]
     if scheme == "lambda":
         weak, delta, strong = params.omega0 * gs, None, None
         kappa, gamma = params.kappa * gs, _fmt(params.gamma * gs)
@@ -334,7 +367,7 @@ def _gate_row(scheme: str, params, result, opts: dict) -> list:
 
 
 def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, opts: dict) -> list:
-    gs = opts["g_scale"]
+    gs = opts["g"]
     return [
         "shelving", _fmt(params.omega_w * gs), "", _fmt(params.gamma_s * gs),
         _fmt(gs), "", _fmt(params.omega_s * gs), "", _fmt(tmax / gs),
@@ -366,29 +399,18 @@ def _validate(scheme: str, params, threshold: float):
     return validate_regime_shelving(params, threshold)
 
 
-def _build_params(scheme: str, values: dict):
-    if scheme == "lambda":
-        return _lambda_params(values)
-    if scheme == "raman":
-        return _raman_params(values)
-    return _shelving_params(values)
-
-
-def cmd_run(s: _Settings) -> int:
-    scheme = s.require("scheme", "--scheme")
-    opts = _resolve_run_options(s, scheme)
-    values = _param_values(s)
-    params = _build_params(scheme, values)
+def cmd_run(s: _Settings, scheme: str, opts: dict) -> int:
+    params = _build_params(scheme, s.get)
     report = _validate(scheme, params, opts["threshold"])
 
     if scheme == "shelving":
         td = dark_time(params)
-        tmax = float(values["tmax"]) if values.get("tmax") is not None else 2.0 * td
+        tmax = s.get("tmax", 2.0 * td)
         ts = np.linspace(0.0, tmax, opts["n_outputs"] + 1)
         p0s = survival_probability(params, ts)
         fitted = fit_dark_time(params)
-        gs = opts["g_scale"]
-        print(_echo_line(_echo_pairs(scheme, params, opts, {"tmax": tmax})))
+        gs = opts["g"]
+        print(_echo_line("run", scheme, params, opts, {"tmax": tmax}))
         print(f"dark_time_estimate={_fmt(td / gs)}")
         print(f"fitted_dark_time={_fmt(fitted / gs)}")
         print(f"p0_final={_fmt(float(p0s[-1]))}")
@@ -405,7 +427,7 @@ def cmd_run(s: _Settings) -> int:
 
     result = _run_one_gate(scheme, params, opts)
     lines = [
-        _echo_line(_echo_pairs(scheme, params, opts)),
+        _echo_line("run", scheme, params, opts, {}),
         ",".join(CSV_COLUMNS),
         ",".join(_gate_row(scheme, params, result, opts)),
     ]
@@ -420,8 +442,6 @@ def _sweep_values(s: _Settings) -> np.ndarray:
     stop = float(s.require("stop", "--stop"))
     count = int(s.require("count", "--count"))
     spacing = s.get("spacing", "linear")
-    if count < 1:
-        raise ValueError("--count must be >= 1")
     if count == 1:
         return np.array([start])
     if spacing == "log":
@@ -431,43 +451,24 @@ def _sweep_values(s: _Settings) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_scan(s: _Settings) -> int:
-    scheme = s.require("scheme", "--scheme")
-    if scheme == "shelving":
-        raise ValueError("scan supports the lambda and raman schemes; use run for shelving")
-    opts = _resolve_run_options(s, scheme)
-    sweep = s.require("sweep", "--sweep")
-    if sweep not in _SWEEPABLE[scheme]:
-        raise ValueError(
-            f"cannot sweep {sweep!r} in the {scheme} scheme; "
-            f"choose one of {_SWEEPABLE[scheme]}"
-        )
-    values = _param_values(s)
+def cmd_scan(s: _Settings, scheme: str, opts: dict) -> int:
+    swept = _swept(s, scheme)
     points = _sweep_values(s)
 
-    def assign(base: dict, value: float) -> dict:
-        out = dict(base)
-        if sweep == "omega-weak":
-            out["omega20"] = value
-            out["omega21"] = value
-        else:
-            out[sweep.replace("-", "_")] = value
-        return out
-
     def run_point(value: float):
-        params = _build_params(scheme, assign(values, float(value)))
+        params = _build_params(scheme, lambda dest: value if dest in swept else s.get(dest))
         report = _validate(scheme, params, opts["threshold"])
         result = _run_one_gate(scheme, params, opts)
         return params, result, report
 
-    outcomes = [run_point(v) for v in points]
+    outcomes = [run_point(float(v)) for v in points]
 
     sweep_echo = {
-        "sweep": sweep, "start": points[0], "stop": points[-1],
+        "sweep": s.get("sweep"), "start": points[0], "stop": points[-1],
         "count": len(points), "spacing": s.get("spacing", "linear"),
     }
     lines = [
-        _echo_line(_echo_pairs(scheme, outcomes[0][0], opts, sweep_echo)),
+        _echo_line("scan", scheme, outcomes[0][0], opts, sweep_echo),
         ",".join(CSV_COLUMNS),
     ]
     lines += [",".join(_gate_row(scheme, params, result, opts))
@@ -476,20 +477,16 @@ def cmd_scan(s: _Settings) -> int:
     return max(report.exit_code for _, _, report in outcomes)
 
 
-def cmd_validate(s: _Settings) -> int:
-    scheme = s.require("scheme", "--scheme")
-    opts = _resolve_run_options(s, scheme)
-    params = _build_params(scheme, _param_values(s))
+def cmd_validate(s: _Settings, scheme: str, opts: dict) -> int:
+    params = _build_params(scheme, s.get)
     report = _validate(scheme, params, opts["threshold"])
     for line in report.lines():
         print(line)
     return report.exit_code
 
 
-def cmd_converge(s: _Settings) -> int:
-    scheme = s.require("scheme", "--scheme")
-    opts = _resolve_run_options(s, scheme)
-    params = _build_params(scheme, _param_values(s))
+def cmd_converge(s: _Settings, scheme: str, opts: dict) -> int:
+    params = _build_params(scheme, s.get)
     report = _validate(scheme, params, opts["threshold"])
 
     if scheme == "shelving":
@@ -517,13 +514,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         settings = _Settings(args, config_keys)
-        handler = {
-            "run": cmd_run,
-            "scan": cmd_scan,
-            "validate": cmd_validate,
-            "converge": cmd_converge,
-        }[args.command]
-        return handler(settings)
+        scheme = settings.require("scheme", "--scheme")
+        _reject_unused(settings, args.command, scheme)
+        handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
+        return handler[args.command](settings, scheme, _resolve_run_options(settings, scheme))
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from cavgate.cli import CSV_COLUMNS, main
+from cavgate.cli import COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one command line (argparse errors included)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -194,7 +198,7 @@ def test_converge_without_cavity_sector_is_wrong(capsys):
 def test_converge_shelving_cutoff_independent(capsys):
     # the shelving model has no photon cutoff: the fit is the only refinement
     code, out, _ = run_cli(
-        capsys, "converge", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "1000",
+        capsys, "converge", "--scheme", "shelving", "--omega-w", "0.02",
     )
     assert code == 0
     (row,) = out.splitlines()[1:]
@@ -224,7 +228,10 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "omega_zero" in err
 
 
-@pytest.mark.parametrize("key,value", [("spacing", "logg"), ("initial", "xx")])
+@pytest.mark.parametrize("key,value", [
+    ("spacing", "logg"), ("initial", "xx"),
+    ("g", "-1"), ("threshold", "nan"), ("eps", "0"), ("n-outputs", "0"), ("count", "0"),
+])
 def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(f"{key}={value}\n")
@@ -263,3 +270,168 @@ def test_g_scale_relabels_output(capsys):
     assert float(row["T"]) == pytest.approx(62.83185307179586 / 2.0)
     # physics is unchanged
     assert abs(float(row["p0"]) - 0.83) <= 0.01
+
+
+LAMBDA = ("--scheme", "lambda", "--omega0", "0.1")
+SHELVING = ("--scheme", "shelving", "--omega-w", "0.02")
+SCAN = ("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
+        "--count", "2")
+
+REJECTED = [
+    (("run", *LAMBDA, "--delta", "5", "--omega-w", "3", "--tmax", "9"), "",
+     ("--delta (flag)", "--omega-w (flag)", "--tmax (flag)")),
+    (("validate", *LAMBDA, "--output", "x.csv", "--relax-window"), "",
+     ("--output (flag)", "--relax-window (flag)")),
+    (("validate", *LAMBDA, "--g", "2"), "", ("--g (flag)",)),
+    (("converge", *LAMBDA, "--g", "2"), "", ("--g (flag)",)),
+    (("converge", *LAMBDA, "--output", "x.csv"), "", ("--output (flag)",)),
+    (("converge", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
+    (("run", *SHELVING, "--eps", "1e-3"), "", ("--eps (flag)",)),
+    (("run", *SHELVING, "--n-max", "9"), "", ("--n-max (flag)",)),
+    (("run", *SHELVING, "--initial", "11"), "", ("--initial (flag)",)),
+    (("converge", *SHELVING, "--tmax", "1000"), "", ("--tmax (flag)",)),
+    ((*SCAN, "--omega0", "0.3"), "", ("--omega0 (flag; --sweep sets it)",)),
+    (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
+      "--count", "2", "--omega21", "0.04"), "", ("--omega21 (flag; --sweep sets it)",)),
+    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\ndelta=5\n",
+     ("--delta (config file)",)),
+    (("validate", "--config", "{cfg}", "--omega-w", "3"), "scheme=lambda\nomega0=0.1\nomega-w=2\n",
+     ("--omega-w (flag and config file)",)),
+    ((*SCAN, "--config", "{cfg}"), "omega0=0.3\n", ("--omega0 (config file; --sweep sets it)",)),
+]
+
+
+@pytest.mark.parametrize("argv,config,named", REJECTED, ids=[" ".join(r[0]) for r in REJECTED])
+def test_option_the_run_would_not_read_exits_2(capsys, tmp_path, argv, config, named):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    argv = [a.replace("{cfg}", str(cfg)).replace("x.csv", str(tmp_path / "x.csv")) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    for text in named:
+        assert text in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", *LAMBDA, "--g", "-1"),
+    ("run", *LAMBDA, "--g", "nan"),
+    ("run", *LAMBDA, "--g", "0"),
+    ("run", *LAMBDA, "--threshold", "nan"),
+    ("run", *LAMBDA, "--threshold", "-1"),
+    ("run", *LAMBDA, "--eps", "inf"),
+    ("run", *SHELVING, "--tmax", "0"),
+    ("run", *SHELVING, "--tmax", "inf"),
+    ("run", *SHELVING, "--n-outputs", "0"),
+    ("run", *SHELVING, "--n-outputs", "-3"),
+    (*SCAN[:-1], "0"),
+])
+def test_scale_threshold_horizon_and_counts_are_checked(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: expected" in err
+
+
+def test_help_names_schemes_and_commands_of_every_option():
+    _, config_keys = _build_parser()
+    for key, action in config_keys.items():
+        where = action.help[action.help.rindex("[") + 1:-1]
+        schemes, commands = where.split("; ")
+        assert schemes == "all schemes" or set(schemes.split(", ")) <= set(SCHEMES), key
+        assert commands == "all commands" or set(commands.split(", ")) <= set(COMMANDS), key
+    for key in ("delta0", "delta1", "delta2", "omega00", "omega11", "omega22",
+                "gamma0", "gamma1", "gamma2"):
+        assert config_keys[key].help.endswith("[raman; all commands]")
+    assert config_keys["tmax"].help.endswith("[shelving; run]")
+
+
+CONVERGE_HEADER = "quantity                               base                     refined                  |delta|"
+GATE_ROWS = ("p0 n_max {n} -> {m}", "fidelity n_max {n} -> {m}")
+SHELVING_ROW = "fitted_dark_time fit_points -> 2x"
+
+# first stdout line and exit code of valid command lines, captured before the
+# option table replaced the hand-kept option lists
+PINNED = [
+    (("run", "--scheme", "lambda", "--omega0", "0.1"), 0,
+     "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
+     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0"),
+    (("run", "--scheme", "raman", "--omega20", "0.05", "--gamma", "0.2"), 1,
+     "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=1000.0;1000.0;1000.0 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "threshold=0.1 g=1.0"),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--omega-s", "1", "--gamma-s", "1"), 0,
+     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 eps=1e-09 n_outputs=500 "
+     "threshold=0.1 g=1.0 tmax=5000.0"),
+    (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
+      "--count", "2", "--spacing", "log"), 0,
+     "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
+     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
+    (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
+      "--count", "2"), 1,
+     "# params: scheme=raman omega20=0.03 omega21=0.03 kappa=0.001 delta=1000.0;1000.0;1000.0 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "threshold=0.1 g=1.0 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
+    (("run", "--config", "{cfg}", "--threshold", "0.2"), 0,
+     "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.001 initial=11 n_max=2 relax_window=True "
+     "eps=1e-09 n_outputs=500 threshold=0.2 g=1.0"),
+    (("run", "--scheme", "lambda", "--omega0", "0.1", "--gamma", "0.001", "--relax-window"), 0,
+     "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.001 initial=10 n_max=3 relax_window=True "
+     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0"),
+    (("run", "--scheme", "raman", "--delta0", "700"), 2,
+     "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=700.0;1000.0;1000.0 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "threshold=0.1 g=1.0"),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "1000", "--n-outputs", "4",
+      "--g", "2", "--samples-out", "{samples}"), 0,
+     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 eps=1e-09 n_outputs=4 "
+     "threshold=0.1 g=2.0 tmax=1000.0"),
+    (("converge", "--scheme", "lambda", "--omega0", "0.1"), 0, CONVERGE_HEADER),
+    (("converge", "--scheme", "raman", "--omega20", "0.05"), 1, CONVERGE_HEADER),
+    (("converge", "--scheme", "shelving", "--omega-w", "0.02"), 0, CONVERGE_HEADER),
+    (("validate", "--scheme", "lambda", "--omega0", "0.1"), 0,
+     "regime report (lambda): all conditions satisfied\n"
+     "[     pass] gamma_much_less_than_omega: ratio=0 threshold=0.1\n"
+     "[     pass] omega_much_less_than_g2_over_kappa: ratio=0.07071 threshold=0.1\n"
+     "[     pass] omega_much_less_than_kappa: ratio=0.07071 threshold=0.1\n"),
+    (("validate", "--scheme", "raman", "--omega20", "0.05"), 1,
+     "regime report (raman): 1 warning(s)\n"
+     "[     pass] omega0_eff_equals_omega1_eff: ratio=0 threshold=1e-12\n"
+     "[     pass] omega_eff_much_less_than_geff2_over_kappa: ratio=0.05 threshold=0.1\n"
+     "[     pass] omega_eff_much_less_than_kappa: ratio=0.05 threshold=0.1\n"
+     "[     pass] omega20_much_less_than_omega00: ratio=0.025 threshold=0.1\n"
+     "[     pass] omega21_much_less_than_omega11: ratio=0.025 threshold=0.1\n"
+     "[     warn] g_much_less_than_omega22: ratio=0.5 threshold=0.1\n"
+     "[     pass] equal_ground_shifts: ratio=0 threshold=1e-12\n"
+     "[     pass] equal_ground_shifts_2: ratio=0 threshold=1e-12\n"
+     "[     pass] delta_much_greater_than_other_rates: ratio=0.002 threshold=0.1\n"),
+    (("validate", "--scheme", "shelving", "--omega-w", "0.02"), 0,
+     "regime report (shelving): all conditions satisfied\n"
+     "[     pass] omega_w_much_less_than_omega_s2_over_gamma_s: ratio=0.02 threshold=0.1\n"
+     "[     pass] omega_w_much_less_than_gamma_s: ratio=0.02 threshold=0.1\n"),
+]
+
+SAMPLES = ("t,p0\n0.0,1.0\n125.0,0.9055610120483178\n250.0,0.8193855011312482\n"
+           "375.0,0.741410673086979\n500.0,0.6708561298783586\n")
+
+
+@pytest.mark.parametrize("argv,code,expected", PINNED, ids=[" ".join(p[0]) for p in PINNED])
+def test_valid_command_lines_echo_byte_identically(capsys, tmp_path, argv, code, expected):
+    cfg, samples = tmp_path / "cfg.txt", tmp_path / "samples.csv"
+    cfg.write_text("scheme=lambda\nomega0=0.05\nkappa=1.0\ninitial=11\nrelax-window=yes\n"
+                   "gamma=0.001\nn-max=2\n")
+    argv = [a.format(cfg=cfg, samples=samples) for a in argv]
+    got, out, _ = run_cli(capsys, *argv)
+    assert got == code
+    if argv[0] == "validate":
+        assert out == expected
+        return
+    lines = out.splitlines()
+    assert lines[0] == expected
+    if argv[0] == "converge":
+        n = {"lambda": 3, "raman": 2}.get(argv[2])
+        rows = [r.format(n=n, m=n + 1) for r in GATE_ROWS] if n else [SHELVING_ROW]
+        assert [ln[:38].rstrip() for ln in lines[1:]] == rows
+    if "--samples-out" in argv:
+        assert samples.read_text() == SAMPLES
