@@ -146,9 +146,8 @@ _OPTIONS = (
             {"action": "store_true", "default": None}, default=False),
     _Option("--eps", _GATES, _GATE_RUNS, f"propagator accuracy target (default {DEFAULT_EPS:g})",
             {"type": _positive}, default=DEFAULT_EPS),
-    _Option("--n-outputs", SCHEMES, _WRITERS, f"shelving: --samples-out holds N+1 samples over [0, tmax] "
-            f"(default N={DEFAULT_OUTPUTS}); lambda and raman: only fixes the time grid",
-            {"type": _count, "metavar": "N"}, default=DEFAULT_OUTPUTS),
+    _Option("--n-outputs", _SHELVING, ("run",), f"--samples-out holds N+1 samples over [0, tmax] "
+            f"(default N={DEFAULT_OUTPUTS})", {"type": _count, "metavar": "N"}, default=DEFAULT_OUTPUTS),
     _Option("--threshold", SCHEMES, COMMANDS, f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})",
             {"type": _positive}, default=DEFAULT_THRESHOLD),
     _Option("--g", SCHEMES, _WRITERS, "unit scale for output columns only (default 1)",
@@ -330,8 +329,7 @@ def _echo_line(command: str, scheme: str, params, opts: dict, extra: dict) -> st
         if row.field and row.j is None and scheme in row.schemes:
             value = getattr(params, row.field)
             pairs.append((row.dest, ";".join(map(_fmt, value)) if isinstance(value, tuple) else value))
-        # the shelving echo has always carried eps, which the survival curve never reads
-        elif row.default is not None and (row.used(command, scheme) or row.dest == "eps"):
+        elif row.default is not None and row.used(command, scheme):
             pairs.append((row.dest, opts[row.dest]))
     pairs += extra.items()
     return "# params: " + " ".join(
@@ -386,8 +384,7 @@ def _emit_csv(lines: list, output: str | None) -> None:
 def _run_one_gate(scheme: str, params, opts: dict):
     return gate_run(
         scheme, params, _initial_vector(opts["initial"]),
-        n_max=opts["n_max"], n_outputs=opts["n_outputs"], eps=opts["eps"],
-        relax_window=opts["relax_window"],
+        n_max=opts["n_max"], eps=opts["eps"], relax_window=opts["relax_window"],
     )
 
 

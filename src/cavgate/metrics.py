@@ -25,7 +25,7 @@ import numpy as np
 
 from .hilbert import Basis, StateVector, build_basis, qubit_indices
 from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration, validate_regime_lambda
-from .propagator import DEFAULT_EPS, DEFAULT_OUTPUTS, plan, propagate
+from .propagator import DEFAULT_EPS, plan, propagate
 from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration, validate_regime_raman
 from .regime import RegimeReport
 
@@ -117,8 +117,8 @@ class GateResult:
 
 
 def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
-             n_outputs: int = DEFAULT_OUTPUTS, eps: float = DEFAULT_EPS,
-             min_substeps: int = 1, relax_window: bool = False) -> GateResult:
+             eps: float = DEFAULT_EPS, min_substeps: int = 1,
+             relax_window: bool = False) -> GateResult:
     """Run one CNOT pulse and measure success probability and fidelity.
 
     Parameters
@@ -130,8 +130,8 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         Unit-norm amplitudes over (00, 01, 10, 11), control atom first.
     n_max : int, optional
         Photon cutoff; defaults per scheme (see ``DEFAULT_N_MAX``).
-    n_outputs, min_substeps : int
-        Only set the time grid of the plan (see ``propagator.plan``); the
+    min_substeps : int
+        Only sets the time grid of the plan (see ``propagator.plan``); the
         pulse is one exponential evaluated to ``eps``/10 either way.
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
@@ -160,14 +160,14 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     else:
         raise ValueError(f"no gate is defined for scheme {scheme!r}")
 
-    p = plan(gen, t_gate, n_outputs=n_outputs, eps=eps, min_substeps=min_substeps)
+    p = plan(gen, t_gate, eps=eps, min_substeps=min_substeps)
     final = propagate(p, embed_qubit_state(basis, v), [t_gate])[0]
 
     if relax_window:
         dark = LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma, g=params.g)
         gen2 = build_generator_lambda(dark, basis)
         t_relax = 5.0 / params.gamma
-        p2 = plan(gen2, t_relax, n_outputs=n_outputs, eps=eps, min_substeps=min_substeps)
+        p2 = plan(gen2, t_relax, eps=eps, min_substeps=min_substeps)
         final = propagate(p2, final, [t_relax])[0]
 
     target = embed_qubit_state(basis, cnot_target(v))

@@ -164,11 +164,6 @@ class PropagatorPlan:
     def total_steps(self) -> int:
         return self.n_outputs * self.n_sub
 
-    @property
-    def step_matrix(self) -> np.ndarray:
-        """exp(G*dt) on the full space, computed on each access."""
-        return expm(self.generator.matrix * self.dt, tol=self.eps / 10.0)
-
 
 def plan(generator: ConditionalGenerator, t_total: float,
          n_outputs: int = DEFAULT_OUTPUTS, eps: float = DEFAULT_EPS,

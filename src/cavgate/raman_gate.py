@@ -32,10 +32,9 @@ from .hilbert import (
     assemble,
     fock_lowering,
     ket_bra,
-    lambda_symmetrization_matrix,
     sparse_term,
 )
-from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian
+from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian, _to_symmetrized
 from .regime import (
     DEFAULT_THRESHOLD,
     RegimeReport,
@@ -192,27 +191,32 @@ def build_generator_raman(params: RamanParams, basis: Basis) -> ConditionalGener
     return ConditionalGenerator(basis, h)
 
 
+@functools.lru_cache(maxsize=8)
+def _shift_terms(n_max: int) -> tuple:
+    """Constant light-shift terms of the reduced model in the product basis.
+
+    In the order ``_shift_hamiltonian`` scales and adds them: the level-j
+    population of both atoms for j = 0, 1, 2, the level-2 population of
+    atom 1 and of atom 2, then the photon number times the level-1
+    population of both atoms.  Read-only ``sparse_term``s over the
+    (n_max+1)*9 basis, built on first use of a cutoff.
+    """
+    i3 = np.eye(3, dtype=np.complex128)
+    b = fock_lowering(n_max)
+    both = [np.kron(ket_bra(3, j, j), i3) + np.kron(i3, ket_bra(3, j, j)) for j in range(3)]
+    p2 = ket_bra(3, 2, 2)
+    sectors = np.eye(n_max + 1, dtype=np.complex128)
+    terms = [np.kron(sectors, op) for op in both + [np.kron(p2, i3), np.kron(i3, p2)]]
+    terms.append(np.kron(b.conj().T @ b, both[1]))
+    return tuple(sparse_term(t) for t in terms)
+
+
 def _shift_hamiltonian(view: EffectiveLambdaView, n_max: int) -> np.ndarray:
     """Light-shift terms of the reduced model, in the symmetrized basis."""
-    i3 = np.eye(3, dtype=np.complex128)
-    a1 = lambda op: np.kron(op, i3)
-    a2 = lambda op: np.kron(i3, op)
-    sh = np.zeros((9, 9), dtype=np.complex128)
-    for j in range(3):
-        pj = ket_bra(3, j, j)
-        sh += -view.ground_shift[j] * (a1(pj) + a2(pj))
-    p2 = ket_bra(3, 2, 2)
-    sh += -view.weak_shift_atom1 * a1(p2)
-    sh += -view.weak_shift_atom2 * a2(p2)
-
-    nf = n_max + 1
-    b = fock_lowering(n_max)
-    p1 = ket_bra(3, 1, 1)
-    h = np.kron(np.eye(nf, dtype=np.complex128), sh)
-    h += -view.cavity_shift * np.kron(b.conj().T @ b, a1(p1) + a2(p1))
-
-    w = np.kron(np.eye(nf, dtype=np.complex128), lambda_symmetrization_matrix())
-    return w.conj().T @ h @ w
+    coefficients = [-s for s in view.ground_shift]
+    coefficients += [-view.weak_shift_atom1, -view.weak_shift_atom2, -view.cavity_shift]
+    h = assemble(9 * (n_max + 1), coefficients, _shift_terms(n_max))
+    return _to_symmetrized(h, n_max + 1)
 
 
 def build_generator_effective(params: RamanParams, basis: Basis,

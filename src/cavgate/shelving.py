@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, ConditionalGenerator, build_basis
+from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis
+from .propagator import plan, propagate
 from .regime import (
     DEFAULT_THRESHOLD,
     RegimeReport,
@@ -80,8 +81,12 @@ def dark_time(params: ShelvingParams) -> float:
 def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
     """No-emission probability of the initial state A at each grid time.
 
-    Emits a RegimeWarning when the dark-period conditions
-    omega_w << omega_s^2/gamma_s and omega_w << gamma_s are not met.
+    The times are the even grid k*t_max/n from 0 to t_max (as
+    ``np.linspace(0, t_max, n + 1)`` gives them) or a single positive time;
+    ``propagate`` evaluates them with one exponential and raises ValueError
+    on any other grid.  Emits a RegimeWarning when the dark-period
+    conditions omega_w << omega_s^2/gamma_s and omega_w << gamma_s are not
+    met.
     """
     report = validate_regime_shelving(params)
     if not report.all_pass:
@@ -92,29 +97,25 @@ def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
             stacklevel=2,
         )
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(ts < 0.0):
-        raise ValueError("t_grid times must be >= 0")
-    from .propagator import expm
-
-    g = build_generator_shelving(params).matrix
-    psi0 = np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    out = np.empty(ts.shape, dtype=float)
-    for i, t in enumerate(ts):
-        v = expm(g * t) @ psi0
-        out[i] = float(np.vdot(v, v).real)
-    return out
+    gen = build_generator_shelving(params)
+    p = plan(gen, ts.max(initial=0.0), n_outputs=max(ts.size - 1, 1))
+    return np.array([s.squared_norm() for s in propagate(p, basis_state(gen.basis, 0, "A"), ts)])
 
 
 def fit_dark_time(params: ShelvingParams, n_points: int = 200) -> float:
     """Dark time from a single-exponential fit of the survival decay.
 
-    The fit window is [T_dark/10, 2 T_dark] around the analytic estimate;
-    the returned value is -1/slope of a least-squares line through
-    log P0(t).
+    The survival curve is sampled once, on the n_points + 1 even times over
+    [0, 2 T_dark] around the analytic estimate.  The samples from index
+    n_points // 20 on (from T_dark/10 when 20 divides n_points) give the
+    returned -1/slope of a least-squares line through log P0(t).
     """
+    if n_points < 2:
+        raise ValueError(f"a fit needs n_points >= 2, got {n_points!r}")
     td = dark_time(params)
-    ts = np.linspace(td / 10.0, 2.0 * td, n_points)
+    ts = np.linspace(0.0, 2.0 * td, n_points + 1)
     p0 = survival_probability(params, ts)
+    ts, p0 = ts[n_points // 20:], p0[n_points // 20:]
     if np.any(p0 <= 0.0):
         raise ArithmeticError("survival vanished inside the fit window")
     design = np.column_stack([ts, np.ones_like(ts)])

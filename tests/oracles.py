@@ -161,6 +161,27 @@ def kron_generator_lambda(params, basis):
         basis, -1j * kron_hamiltonian_lambda(params.g, params.omega0, params.kappa, params.gamma, basis))
 
 
+def kron_shift_hamiltonian(view, n_max):
+    """Light-shift terms of the reduced Raman model, built densely with np.kron."""
+    atom1 = lambda op: np.kron(op, _I3)
+    atom2 = lambda op: np.kron(_I3, op)
+    sh = np.zeros((9, 9), dtype=np.complex128)
+    for j in range(3):
+        pj = ket_bra(3, j, j)
+        sh += -view.ground_shift[j] * (atom1(pj) + atom2(pj))
+    p2 = ket_bra(3, 2, 2)
+    sh += -view.weak_shift_atom1 * atom1(p2)
+    sh += -view.weak_shift_atom2 * atom2(p2)
+
+    nf = n_max + 1
+    b = fock_lowering(n_max)
+    p1 = ket_bra(3, 1, 1)
+    h = np.kron(np.eye(nf, dtype=np.complex128), sh)
+    h += -view.cavity_shift * np.kron(b.conj().T @ b, atom1(p1) + atom2(p1))
+    w = np.kron(np.eye(nf, dtype=np.complex128), lambda_symmetrization_matrix())
+    return w.conj().T @ h @ w
+
+
 # --------------------------------------------------------------- reference expm
 
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavgate import propagator
 from cavgate.cli import COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
 
 
@@ -56,6 +57,21 @@ def test_run_shelving_fit(capsys):
     assert row["scheme"] == "shelving"
     assert float(row["T"]) == 5000.0
     assert float(row["p0"]) == pytest.approx(np.exp(-2.0), rel=0.5)
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_shelving_survival_and_fit_are_one_exponential_each(capsys, monkeypatch, command):
+    calls = []
+    real = propagator.expm
+
+    def counted(a, **kwargs):
+        calls.append(a.shape)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(propagator, "expm", counted)
+    code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
+    assert code == 0
+    assert len(calls) <= 2
 
 
 def test_run_shelving_samples_file(capsys, tmp_path):
@@ -286,6 +302,11 @@ REJECTED = [
     (("converge", *LAMBDA, "--g", "2"), "", ("--g (flag)",)),
     (("converge", *LAMBDA, "--output", "x.csv"), "", ("--output (flag)",)),
     (("converge", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
+    (("run", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
+    ((*SCAN, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
+    (("run", "--scheme", "raman", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
+    (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
+      "--count", "2", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
     (("run", *SHELVING, "--eps", "1e-3"), "", ("--eps (flag)",)),
     (("run", *SHELVING, "--n-max", "9"), "", ("--n-max (flag)",)),
     (("run", *SHELVING, "--initial", "11"), "", ("--initial (flag)",)),
@@ -351,41 +372,41 @@ CONVERGE_HEADER = "quantity                               base                  
 GATE_ROWS = ("p0 n_max {n} -> {m}", "fidelity n_max {n} -> {m}")
 SHELVING_ROW = "fitted_dark_time fit_points -> 2x"
 
-# first stdout line and exit code of valid command lines, captured before the
-# option table replaced the hand-kept option lists
+# first stdout line and exit code of valid command lines; the # params: line
+# echoes exactly the rates and run options the run reads
 PINNED = [
     (("run", "--scheme", "lambda", "--omega0", "0.1"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0"),
+     "eps=1e-09 threshold=0.1 g=1.0"),
     (("run", "--scheme", "raman", "--omega20", "0.05", "--gamma", "0.2"), 1,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=1000.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 eps=1e-09 "
      "threshold=0.1 g=1.0"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--omega-s", "1", "--gamma-s", "1"), 0,
-     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 eps=1e-09 n_outputs=500 "
+     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=500 "
      "threshold=0.1 g=1.0 tmax=5000.0"),
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
       "--count", "2", "--spacing", "log"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
+     "eps=1e-09 threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
     (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
       "--count", "2"), 1,
      "# params: scheme=raman omega20=0.03 omega21=0.03 kappa=0.001 delta=1000.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 "
      "threshold=0.1 g=1.0 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
     (("run", "--config", "{cfg}", "--threshold", "0.2"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.001 initial=11 n_max=2 relax_window=True "
-     "eps=1e-09 n_outputs=500 threshold=0.2 g=1.0"),
+     "eps=1e-09 threshold=0.2 g=1.0"),
     (("run", "--scheme", "lambda", "--omega0", "0.1", "--gamma", "0.001", "--relax-window"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.001 initial=10 n_max=3 relax_window=True "
-     "eps=1e-09 n_outputs=500 threshold=0.1 g=1.0"),
+     "eps=1e-09 threshold=0.1 g=1.0"),
     (("run", "--scheme", "raman", "--delta0", "700"), 2,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=700.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 n_outputs=500 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 "
      "threshold=0.1 g=1.0"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "1000", "--n-outputs", "4",
       "--g", "2", "--samples-out", "{samples}"), 0,
-     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 eps=1e-09 n_outputs=4 "
+     "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=4 "
      "threshold=0.1 g=2.0 tmax=1000.0"),
     (("converge", "--scheme", "lambda", "--omega0", "0.1"), 0, CONVERGE_HEADER),
     (("converge", "--scheme", "raman", "--omega20", "0.05"), 1, CONVERGE_HEADER),
@@ -413,7 +434,7 @@ PINNED = [
 ]
 
 SAMPLES = ("t,p0\n0.0,1.0\n125.0,0.9055610120483178\n250.0,0.8193855011312482\n"
-           "375.0,0.741410673086979\n500.0,0.6708561298783586\n")
+           "375.0,0.7414106730870205\n500.0,0.6708561298783586\n")
 
 
 @pytest.mark.parametrize("argv,code,expected", PINNED, ids=[" ".join(p[0]) for p in PINNED])

@@ -23,6 +23,7 @@ from oracles import (
     kron_generator_lambda,
     kron_generator_raman,
     kron_hamiltonian_lambda,
+    kron_shift_hamiltonian,
     reference_expm,
 )
 
@@ -106,6 +107,7 @@ def test_effective_generator_bitwise_equals_kron_builder(monkeypatch):
             for p in cases for n in range(4) for shifts in (True, False)]
     cached = [build_generator_effective(p, b, include_shifts=s).matrix for p, b, s in runs]
     monkeypatch.setattr(raman_gate, "_three_level_hamiltonian", kron_hamiltonian_lambda)
+    monkeypatch.setattr(raman_gate, "_shift_hamiltonian", kron_shift_hamiltonian)
     for (p, b, s), matrix in zip(runs, cached):
         assert np.array_equal(matrix, build_generator_effective(p, b, include_shifts=s).matrix)
 
@@ -124,24 +126,34 @@ def test_gate_run_bitwise_equals_kron_builder_and_out_of_place_expm(anchor, monk
     assert np.array_equal(cached.final_state.amplitudes, dense.final_state.amplitudes)
 
 
+def _build(anchor):
+    """A gate run's final state at an anchor, or the shifted reduced generator of RamanParams()."""
+    if anchor == "effective":
+        basis = build_basis("lambda", 2)
+        return lambda: build_generator_effective(RamanParams(), basis, include_shifts=True).matrix
+    scheme, params, psi = anchor_run(anchor)
+    return lambda: gate_run(scheme, params, psi).final_state.amplitudes
+
+
 @pytest.mark.parametrize("anchor,caches", [
     ("W1", (lambda_gate._product_terms, lambda_gate._symmetrizer)),
     ("W2", (raman_gate._raman_terms,)),
+    ("effective", (lambda_gate._product_terms, lambda_gate._symmetrizer, raman_gate._shift_terms)),
 ])
 def test_second_gate_run_builds_no_operator_structure(anchor, caches, monkeypatch):
-    scheme, params, psi = anchor_run(anchor)
+    build = _build(anchor)
     calls = []
     real_kron, real_closure = np.kron, propagator._closure
     monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron") or real_kron(*a, **k))
     monkeypatch.setattr(propagator, "_closure", lambda *a: calls.append("closure") or real_closure(*a))
     for cache in caches + (propagator._reachable_block,):
         cache.cache_clear()
-    first = gate_run(scheme, params, psi)
-    assert "kron" in calls and calls.count("closure") == 1
+    first = build()
+    assert "kron" in calls and calls.count("closure") == (anchor != "effective")
     calls.clear()
-    second = gate_run(scheme, params, psi)
+    second = build()
     assert calls == []
-    assert second.p0 == first.p0
+    assert np.array_equal(second, first)
 
 
 def test_cached_arrays_are_read_only_and_generators_are_not():
@@ -154,7 +166,7 @@ def test_cached_arrays_are_read_only_and_generators_are_not():
     other = build_generator_raman(RamanParams(omega20=0.02, omega21=0.02, gamma=0.3), basis).matrix
     assert propagator._reachable(other, support) is block
     cached = [block, lambda_gate._symmetrizer(4)]
-    cached += [a for term in raman_gate._raman_terms(2) for a in term]
+    cached += [a for term in raman_gate._raman_terms(2) + raman_gate._shift_terms(2) for a in term]
     cached += [a for term in lambda_gate._product_terms(3) for a in term]
     for a in cached:
         with pytest.raises(ValueError):

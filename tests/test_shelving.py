@@ -73,6 +73,15 @@ def test_survival_probability_basics():
         survival_probability(params, [-1.0])
 
 
+def test_survival_probability_rejects_an_uneven_grid():
+    # one exponential serves an even grid only; an uneven one is an error, not a slow path
+    params = ShelvingParams(0.02, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        survival_probability(params, [0.0, 1.0, 3.0])
+    with pytest.raises(ValueError):
+        survival_probability(params, [0.0, 2500.0, 1000.0])
+
+
 def test_survival_warns_outside_dark_regime():
     with pytest.warns(RegimeWarning):
         survival_probability(ShelvingParams(0.9, 1.0, 1.0), [1.0])
@@ -82,6 +91,12 @@ def test_fitted_dark_time_matches_estimate():
     params = ShelvingParams(0.02, 1.0, 1.0)
     fitted = fit_dark_time(params)
     assert 2500.0 / 2.0 <= fitted <= 2500.0 * 2.0
+
+
+@pytest.mark.parametrize("n_points", [1, 0, -5])
+def test_fit_dark_time_needs_two_points(n_points):
+    with pytest.raises(ValueError, match="n_points >= 2"):
+        fit_dark_time(ShelvingParams(0.02, 1.0, 1.0), n_points)
 
 
 def test_fitted_dark_time_scalings():
