@@ -132,7 +132,7 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         Photon cutoff; defaults per scheme (see ``DEFAULT_N_MAX``).
     min_substeps : int
         Only sets the time grid of the plan (see ``propagator.plan``); the
-        pulse is one exponential evaluated to ``eps``/10 either way.
+        pulse's exponentials are evaluated once, to ``eps``/10, either way.
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays

@@ -1,9 +1,22 @@
 """Propagation of states under a time-independent non-Hermitian generator.
 
-The generator never changes during a run, so ``propagate`` applies one
-exp(G*t) per distinct gap between requested times (one for a gate run, one
-for an even output grid), on the block of states reachable from the
-initial state's support; cost does not grow with the pulse length.
+The generator never changes during a run, so ``propagate`` evaluates the
+exponentials once per distinct gap between requested times (once for a
+gate run, once for an even output grid), on the block of states reachable
+from the initial state's support; cost does not grow with the pulse length.
+
+A block whose diagonal falls into well-separated clusters (the far-detuned
+Raman excited states: none, one or two atoms excited) is first
+block-diagonalised exactly, one end cluster at a time: a Riccati equation
+for the invariant subspace, then a Sylvester equation for its complement,
+each solved by a contracting fixed-point sweep (Stewart, SIAM Rev. 15, 727
+(1973); Bavely & Stewart, SIAM J. Numer. Anal. 16, 359 (1979)).  Each
+cluster is then exponentiated on its own, shifted by the mean imaginary
+part of its diagonal (a pure phase, so nothing overflows), so the
+squarings see norms of order the couplings times the pulse length rather
+than the detuning times it, and their roundoff no longer dominates the
+result.  A block that does not split, or whose sweeps fail to contract
+to unit roundoff, is exponentiated whole, as one matrix.
 
 The exponential is scaling and squaring with a diagonal Pade core (Moler &
 Van Loan, SIAM Rev. 45, 3 (2003)): the lowest degree whose truncation bound
@@ -60,6 +73,15 @@ _TRUNC_CONST = {
 # largest 1-norm at which degree 13 has backward error below 2**-53
 # (Higham 2005, table 2.3)
 _THETA_13 = 5.371920351148152
+
+
+# diagonal clusters further apart than _SEP times the largest off-diagonal
+# absolute row sum are decoupled; a Riccati or Sylvester sweep that has not
+# reached unit roundoff _UNIT_ROUNDOFF after _SWEEPS sweeps, or whose
+# contraction estimate reaches 1/2, leaves its block whole
+_SEP = 8.0
+_SWEEPS = 30
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _theta_max(m: int, tol: float) -> float:
@@ -182,6 +204,8 @@ def plan(generator: ConditionalGenerator, t_total: float,
         raise ValueError("n_outputs must be >= 1")
     if min_substeps < 1:
         raise ValueError("min_substeps must be >= 1")
+    if not (eps > 0.0) or not math.isfinite(eps):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     n_sub = int(min_substeps)
     return PropagatorPlan(
         generator=generator, t_total=float(t_total), n_outputs=int(n_outputs),
@@ -241,6 +265,115 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
     return ks
 
 
+def _clusters(g: np.ndarray) -> list:
+    """Indices of g grouped by the imaginary part of its diagonal.
+
+    Sorted by that part, a new group starts wherever two neighbours differ
+    by more than _SEP times the largest off-diagonal absolute row sum.
+    """
+    diag = g.diagonal()
+    order = np.argsort(diag.imag, kind="stable")
+    coupling = float((np.abs(g).sum(axis=1) - np.abs(diag)).max())
+    cuts = np.flatnonzero(np.diff(diag.imag[order]) > _SEP * coupling) + 1
+    return np.split(order, cuts)
+
+
+def _norm(m: np.ndarray) -> float:
+    """Frobenius norm: submultiplicative, and cheaper than the 1-norm."""
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def _fixed_point(step, x: np.ndarray, rate):
+    """Fixed point of ``step``, swept from its first iterate ``x``.
+
+    Stops once the predicted remainder q |dx| / (1 - q) is below unit
+    roundoff of |x|, q = rate(|x|) being the contraction estimate; None if
+    q reaches 1/2 or _SWEEPS sweeps do not suffice.
+    """
+    for _ in range(_SWEEPS):
+        new = step(x)
+        size = _norm(new)
+        q = rate(size)
+        if not q < 0.5:
+            return None
+        if q * _norm(new - x) <= (1.0 - q) * _UNIT_ROUNDOFF * size:
+            return new
+        x = new
+    return None
+
+
+def _split(g: np.ndarray, s: int):
+    """Block-diagonalise g = [[A, B], [C, D]], A being the leading s states.
+
+    X solves C + D X - X A - X B X = 0, so A + B X generates the motion in
+    the invariant subspace (I; X), and Y solves (A + B X) Y - Y (D - X B)
+    + B = 0.  Both are fixed points of sweeps shifted by the mean diagonal
+    mu of A, which share one inverse of D - mu and contract by at most
+    q = |(D - mu)^-1| (|A - mu| + 2 |B| |X|) in the Frobenius norm.  Returns
+    (X, Y, A + B X, D - X B), or None if a sweep does not contract to
+    roundoff.
+    """
+    a, b, c, d = g[:s, :s], g[:s, s:], g[s:, :s], g[s:, s:]
+    mu = a.diagonal().mean()
+    a_mu = a - mu * np.eye(s)
+    d_inv = np.linalg.inv(d - mu * np.eye(d.shape[0]))
+    d_inv_norm, a_norm, b_norm = _norm(d_inv), _norm(a_mu), _norm(b)
+
+    def rate(x_norm):
+        return d_inv_norm * (a_norm + 2.0 * b_norm * x_norm)
+
+    x = _fixed_point(lambda x: d_inv @ (x @ (a_mu + b @ x) - c), -(d_inv @ c), rate)
+    if x is None:
+        return None
+    a_eff_mu = a_mu + b @ x
+    xb = x @ b
+    q = rate(_norm(x))
+    y = _fixed_point(lambda y: (a_eff_mu @ y + b + y @ xb) @ d_inv, b @ d_inv, lambda _: q)
+    if y is None:
+        return None
+    return x, y, a_eff_mu + mu * np.eye(s), d - xb
+
+
+def _decouple(g: np.ndarray) -> tuple:
+    """Exact block diagonalisation of g by diagonal cluster.
+
+    Returns ``(order, splits, leaves)``: the states of g regrouped cluster
+    by cluster; one ``(start, stop, X, Y)`` per split, outermost first,
+    where [start, stop) is the cluster split off the states from ``start``
+    on; and one ``(slice, generator, omega)`` per diagonal block, with omega
+    the mean imaginary part of its diagonal.  A g that does not split is
+    one leaf, in its own order, with omega = 0.
+    """
+    groups = _clusters(g)
+    order = np.concatenate(groups)
+    rest = g[np.ix_(order, order)]
+    splits, leaves = [], []
+    start = 0
+    for group in groups[:-1]:
+        parts = _split(rest, len(group))
+        if parts is None:
+            break
+        x, y, a_eff, rest = parts
+        stop = start + len(group)
+        splits.append((start, stop, x, y))
+        leaves.append((slice(start, stop), a_eff, a_eff.diagonal().imag.mean()))
+        start = stop
+    if not splits:
+        return np.arange(g.shape[0]), [], [(slice(None), g, 0.0)]
+    leaves.append((slice(start, None), rest, rest.diagonal().imag.mean()))
+    return order, splits, leaves
+
+
+def _leaf_expm(m: np.ndarray, omega: float, t: float, tol: float) -> np.ndarray:
+    """exp(m t) as e^(i omega t) exp((m - i omega) t); a block left whole
+    has omega = 0 and is exponentiated exactly as given."""
+    if not omega:
+        return expm(m * t, tol=tol)
+    shifted = m * t
+    shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
+    return np.exp(1j * omega * t) * expm(shifted, tol=tol)
+
+
 def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     """Conditioned (unnormalized) states at the requested grid times.
 
@@ -253,17 +386,29 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     ks = _grid_steps(p, t_grid)
     amps = state0.amplitudes
     block = _reachable(p.generator.matrix, amps != 0.0)
-    g = p.generator.matrix[np.ix_(block, block)]
+    order, splits, leaves = _decouple(p.generator.matrix[np.ix_(block, block)])
+    block = block[order]
+    # into decoupled coordinates: b = v_f - X v_s, then a = v_s - Y b
     cur = amps[block]
+    for start, stop, x, y in splits:
+        cur[stop:] -= x @ cur[start:stop]
+        cur[start:stop] -= y @ cur[stop:]
     exps = {}
     states = []
     for gap in np.diff(ks, prepend=0):
         if gap:
             if gap not in exps:
-                exps[gap] = expm(g * (gap * p.dt), tol=p.eps / 10.0)
-            cur = exps[gap] @ cur
+                exps[gap] = [_leaf_expm(m, omega, gap * p.dt, p.eps / 10.0)
+                             for _, m, omega in leaves]
+            for (part, _, _), e in zip(leaves, exps[gap]):
+                cur[part] = e @ cur[part]
+        # and back, innermost split first: v_s = a + Y b, v_f = b + X v_s
+        v = cur.copy()
+        for start, stop, x, y in reversed(splits):
+            v[start:stop] += y @ v[stop:]
+            v[stop:] += x @ v[start:stop]
         out = np.zeros_like(amps)
-        out[block] = cur
+        out[block] = v
         states.append(StateVector(state0.basis, out))
     return states
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,9 @@ import scipy.linalg
 from cavgate import propagator
 from cavgate.hilbert import StateVector, basis_state, build_basis
 from cavgate.lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
+from cavgate.metrics import gate_run
 from cavgate.propagator import (
+    DEFAULT_EPS,
     expm,
     no_photon_probability,
     output_times,
@@ -147,6 +151,9 @@ def test_plan_input_validation():
     bad = ConditionalGenerator(basis, np.full((3, 3), np.inf + 0j))
     with pytest.raises(ValueError):
         plan(bad, 1.0)
+    for eps in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            plan(gen, 1.0, eps=eps)
 
 
 def test_propagate_stationary_configuration():
@@ -230,22 +237,79 @@ def test_propagate_repeated_time_returns_identical_state():
     assert np.array_equal(out[4].amplitudes, out[2].amplitudes)
 
 
-def test_output_grid_is_one_exponential_on_the_reachable_block(monkeypatch):
-    # |10> reaches 24 of the 36 lambda states; the other 12 stay exactly zero
-    shapes = []
+def _expm_sizes(monkeypatch) -> list:
+    """Sizes of the matrices propagate exponentiates from now on."""
+    sizes = []
     real = propagator.expm
 
     def counted(a, **kwargs):
-        shapes.append(a.shape)
+        sizes.append(a.shape[0])
         return real(a, **kwargs)
 
     monkeypatch.setattr(propagator, "expm", counted)
+    return sizes
+
+
+def test_output_grid_is_one_exponential_on_the_reachable_block(monkeypatch):
+    # |10> reaches 24 of the 36 lambda states; the other 12 stay exactly zero
+    sizes = _expm_sizes(monkeypatch)
     basis = build_basis("lambda", 3)
     gen = build_generator_lambda(LambdaParams(omega0=0.1, kappa=1.0, gamma=1e-3), basis)
     p = plan(gen, 30.0, n_outputs=30)
     traj = propagate(p, basis_state(basis, 0, "10"), output_times(p))
-    assert shapes == [(24, 24)]
+    assert sizes == [24]
     assert all(np.count_nonzero(s.amplitudes) <= 24 for s in traj)
+
+
+def _gate_run_and_whole_block(params):
+    """gate_run's final state from |10>, and exp(G T) on the whole reachable block."""
+    basis = build_basis("raman", 2)
+    gen = build_generator_raman(params, basis)
+    v = basis_state(basis, 0, "10").amplitudes
+    block = propagator._reachable(gen.matrix, v != 0.0)
+    t = output_times(plan(gen, raman_pulse_duration(params)))[-1]
+    whole = np.zeros_like(v)
+    whole[block] = expm(gen.matrix[np.ix_(block, block)] * t, tol=DEFAULT_EPS / 10) @ v[block]
+    final = gate_run("raman", params, [0.0, 0.0, 1.0, 0.0]).final_state.amplitudes
+    return final, whole
+
+
+def test_near_resonance_raman_is_one_exponential_of_the_whole_block(monkeypatch):
+    # at delta=5 the excited states lie within the coupling spread of the
+    # ground states: no cluster splits off, and the run is the undecoupled one
+    sizes = _expm_sizes(monkeypatch)
+    final, whole = _gate_run_and_whole_block(RamanParams(delta=5.0))
+    assert sizes == [72]
+    assert np.array_equal(final, whole)
+
+
+def test_unconverged_sweeps_fall_back_to_the_whole_block(monkeypatch):
+    # one sweep cannot reach roundoff, so W2 takes the undecoupled path
+    monkeypatch.setattr(propagator, "_SWEEPS", 1)
+    sizes = _expm_sizes(monkeypatch)
+    final, whole = _gate_run_and_whole_block(RamanParams(omega20=0.05, omega21=0.05))
+    assert sizes == [72]
+    assert np.array_equal(final, whole)
+
+
+def test_decoupled_output_grid_matches_scipy(monkeypatch):
+    params = RamanParams(omega20=0.05, omega21=0.05)
+    basis = build_basis("raman", 2)
+    gen = build_generator_raman(params, basis)
+    p = plan(gen, raman_pulse_duration(params) / 100, n_outputs=10)
+    state = basis_state(basis, 0, "10")
+    sizes = _expm_sizes(monkeypatch)
+    traj = propagate(p, state, output_times(p))
+    assert sorted(sizes) == [18, 18, 36]
+    # scipy's own squarings of the whole generator err by up to about
+    # u |G|_1 t, which bounds the comparison (it is 1.9e-11 off at the last
+    # output; the decoupled states match the 50-digit p0 at W2 to 3e-14)
+    step = scipy.linalg.expm(gen.matrix * (p.t_total / 10))
+    g_norm = np.linalg.norm(gen.matrix, 1)
+    ref = state.amplitudes
+    for t, s in zip(output_times(p), traj):
+        assert np.abs(s.amplitudes - ref).max() <= 1e-12 + 2.0 ** -53 * g_norm * t
+        ref = step @ ref
 
 
 def test_no_photon_probability_basics():
