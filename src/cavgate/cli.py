@@ -19,10 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .hilbert import QUBIT_CONFIGS
+from .hilbert import QUBIT_CONFIGS, SCHEMES
 from .lambda_gate import LambdaParams, validate_regime_lambda
 from .metrics import DEFAULT_N_MAX, gate_run
-from .propagator import DEFAULT_EPS, DEFAULT_OUTPUTS
+from .propagator import DEFAULT_OUTPUTS
 from .raman_gate import RamanParams, validate_regime_raman
 from .regime import DEFAULT_THRESHOLD
 from .shelving import (
@@ -39,7 +39,6 @@ CSV_COLUMNS = (
     "fidelity_unconditional",
 )
 
-SCHEMES = ("lambda", "raman", "shelving")
 COMMANDS = ("run", "scan", "validate", "converge")
 _GATES = ("lambda", "raman")
 _LAMBDA, _RAMAN, _SHELVING = ("lambda",), ("raman",), ("shelving",)
@@ -70,7 +69,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _positive(text: str) -> float:
-    """argparse type of a unit scale, threshold, horizon or accuracy target."""
+    """argparse type of a unit scale, threshold or horizon."""
     x = float(text)
     if not (math.isfinite(x) and x > 0.0):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
@@ -144,8 +143,6 @@ _OPTIONS = (
             {"type": int}, default=DEFAULT_N_MAX),
     _Option("--relax-window", _LAMBDA, _GATE_RUNS, "append a laser-free window of 5/gamma before scoring",
             {"action": "store_true", "default": None}, default=False),
-    _Option("--eps", _GATES, _GATE_RUNS, f"propagator accuracy target (default {DEFAULT_EPS:g})",
-            {"type": _positive}, default=DEFAULT_EPS),
     _Option("--n-outputs", _SHELVING, ("run",), f"--samples-out holds N+1 samples over [0, tmax] "
             f"(default N={DEFAULT_OUTPUTS})", {"type": _count, "metavar": "N"}, default=DEFAULT_OUTPUTS),
     _Option("--threshold", SCHEMES, COMMANDS, f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})",
@@ -384,7 +381,7 @@ def _emit_csv(lines: list, output: str | None) -> None:
 def _run_one_gate(scheme: str, params, opts: dict):
     return gate_run(
         scheme, params, _initial_vector(opts["initial"]),
-        n_max=opts["n_max"], eps=opts["eps"], relax_window=opts["relax_window"],
+        n_max=opts["n_max"], relax_window=opts["relax_window"],
     )
 
 

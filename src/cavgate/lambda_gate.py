@@ -33,6 +33,7 @@ from .hilbert import (
     lambda_symmetrization_matrix,
     sparse_term,
 )
+from .propagator import expm
 from .regime import (
     DEFAULT_THRESHOLD,
     LEVEL_VIOLATION,
@@ -234,8 +235,6 @@ def effective_dfs_evolution(initial, params: LambdaParams, t: float,
     damping constants (EffectiveRates(0, 0) gives the ideal pulse: an
     exact exchange of the driven pair after t = 2 pi / omega0).
     """
-    from .propagator import expm
-
     if t < 0.0:
         raise ValueError("t must be >= 0")
     v = np.asarray(initial, dtype=np.complex128)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hilbert import Basis, StateVector, build_basis, qubit_indices
 from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration, validate_regime_lambda
-from .propagator import DEFAULT_EPS, plan, propagate
+from .propagator import plan, propagate
 from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration, validate_regime_raman
 from .regime import RegimeReport
 
@@ -117,8 +117,7 @@ class GateResult:
 
 
 def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
-             eps: float = DEFAULT_EPS, min_substeps: int = 1,
-             relax_window: bool = False) -> GateResult:
+             min_substeps: int = 1, relax_window: bool = False) -> GateResult:
     """Run one CNOT pulse and measure success probability and fidelity.
 
     Parameters
@@ -132,7 +131,7 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         Photon cutoff; defaults per scheme (see ``DEFAULT_N_MAX``).
     min_substeps : int
         Only sets the time grid of the plan (see ``propagator.plan``); the
-        pulse's exponentials are evaluated once, to ``eps``/10, either way.
+        pulse's exponentials are evaluated once, at unit roundoff, either way.
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays
@@ -160,14 +159,14 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     else:
         raise ValueError(f"no gate is defined for scheme {scheme!r}")
 
-    p = plan(gen, t_gate, eps=eps, min_substeps=min_substeps)
+    p = plan(gen, t_gate, min_substeps=min_substeps)
     final = propagate(p, embed_qubit_state(basis, v), [t_gate])[0]
 
     if relax_window:
         dark = LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma, g=params.g)
         gen2 = build_generator_lambda(dark, basis)
         t_relax = 5.0 / params.gamma
-        p2 = plan(gen2, t_relax, eps=eps, min_substeps=min_substeps)
+        p2 = plan(gen2, t_relax, min_substeps=min_substeps)
         final = propagate(p2, final, [t_relax])[0]
 
     target = embed_qubit_state(basis, cnot_target(v))

@@ -18,10 +18,10 @@ than the detuning times it, and their roundoff no longer dominates the
 result.  A block that does not split, or whose sweeps fail to contract
 to unit roundoff, is exponentiated whole, as one matrix.
 
-The exponential is scaling and squaring with a diagonal Pade core (Moler &
-Van Loan, SIAM Rev. 45, 3 (2003)): the lowest degree whose truncation bound
-meets the tolerance, else degree 13 scaled to Higham's theta_13 (SIAM J.
-Matrix Anal. Appl. 26, 1179 (2005)), where backward error is at roundoff.
+The exponential is scaling and squaring with the diagonal degree-13 Pade
+core (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the matrix halved until its
+1-norm is below Higham's theta_13 (SIAM J. Matrix Anal. Appl. 26, 1179
+(2005)), where the backward error is at unit roundoff.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from .hilbert import ConditionalGenerator, StateVector
 
 __all__ = [
-    "DEFAULT_EPS",
     "DEFAULT_OUTPUTS",
     "expm",
     "PropagatorPlan",
@@ -45,30 +44,13 @@ __all__ = [
     "output_times",
 ]
 
-DEFAULT_EPS = 1e-9
 DEFAULT_OUTPUTS = 500
 
-# diagonal Pade coefficients, indexed by degree
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-
-# truncation constant 8 (m!)^2 / ((2m)! (2m+1)!): for a scaled norm
-# theta <= 1/2 the degree-m approximant has relative truncation error
-# below _TRUNC_CONST[m] * theta**(2m+1)
-_TRUNC_CONST = {
-    m: 8.0 * math.factorial(m) ** 2
-    / (math.factorial(2 * m) * math.factorial(2 * m + 1))
-    for m in (3, 5, 7, 9)
-}
+# diagonal Pade coefficients of degree 13
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
 
 # largest 1-norm at which degree 13 has backward error below 2**-53
 # (Higham 2005, table 2.3)
@@ -84,29 +66,7 @@ _SWEEPS = 30
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _theta_max(m: int, tol: float) -> float:
-    return min(0.5, (tol / _TRUNC_CONST[m]) ** (1.0 / (2 * m + 1)))
-
-
-def _pade_uv(a: np.ndarray, m: int) -> tuple:
-    """U (odd part) and V (even part) of the degree-m Pade approximant."""
-    b = _PADE_COEFFS[m]
-    if m == 13:
-        return _pade13_uv(a, b)
-    ident = np.eye(a.shape[0], dtype=np.complex128)
-    a2 = a @ a
-    pows = [ident, a2]
-    for _ in range((m - 1) // 2 - 1):
-        pows.append(pows[-1] @ a2)
-    u = b[1] * ident
-    v = b[0] * ident
-    for k, p in enumerate(pows[1:], start=1):
-        u = u + b[2 * k + 1] * p
-        v = v + b[2 * k] * p
-    return a @ u, v
-
-
-def _pade13_uv(a: np.ndarray, b: tuple) -> tuple:
+def _pade13_uv(a: np.ndarray) -> tuple:
     """Degree-13 U and V, with every sum accumulated in place.
 
     U = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I) and
@@ -114,6 +74,7 @@ def _pade13_uv(a: np.ndarray, b: tuple) -> tuple:
     sum taken left to right as written: the same operations, in the same
     order, as the out-of-place expressions, through one scratch matrix.
     """
+    b = _PADE13
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -132,31 +93,22 @@ def _pade13_uv(a: np.ndarray, b: tuple) -> tuple:
     return a @ u, v
 
 
-def expm(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Pade core.
-
-    Uses the smallest degree whose series-truncation bound meets ``tol``
-    without scaling, else degree 13 with the fewest halvings that bring the
-    norm below theta_13.
-    """
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a degree-13 Pade core,
+    after the fewest halvings that bring the 1-norm below theta_13."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
     norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return np.eye(a.shape[0], dtype=np.complex128)
 
-    # smallest degree that needs no scaling, else degree 13 with the fewest
-    # halvings (minimizing squarings limits roundoff amplification)
-    m = next((deg for deg in _TRUNC_CONST if norm <= _theta_max(deg, tol)), 13)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if m == 13 else 0
-
+    # fewest halvings: each squaring amplifies roundoff
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
     scaled = a / (2.0 ** s) if s else a
-    u, v = _pade_uv(scaled, m)
+    u, v = _pade13_uv(scaled)
     f = np.linalg.solve(v - u, v + u)
     # square s times, alternating between f and one spare C-ordered buffer
     spare = np.empty(f.shape, dtype=np.complex128)
@@ -168,7 +120,7 @@ def expm(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Time grid and accuracy target for one generator.
+    """Time grid of a run under one generator.
 
     The grid step is ``dt``; ``propagate`` accepts times on it.  Immutable
     and shareable; independent propagate calls may run concurrently on the
@@ -180,21 +132,15 @@ class PropagatorPlan:
     n_outputs: int
     n_sub: int
     dt: float
-    eps: float
-
-    @property
-    def total_steps(self) -> int:
-        return self.n_outputs * self.n_sub
 
 
 def plan(generator: ConditionalGenerator, t_total: float,
-         n_outputs: int = DEFAULT_OUTPUTS, eps: float = DEFAULT_EPS,
-         min_substeps: int = 1) -> PropagatorPlan:
+         n_outputs: int = DEFAULT_OUTPUTS, min_substeps: int = 1) -> PropagatorPlan:
     """Fix the time grid of a run.
 
     The grid step is dt = t_total / (n_outputs * min_substeps); the two
-    counts only set which times ``propagate`` accepts, not its accuracy.
-    Each exponential is evaluated to tolerance eps/10.
+    counts only set which times ``propagate`` accepts, not its accuracy:
+    every exponential is evaluated at unit roundoff (see ``expm``).
     """
     if not np.all(np.isfinite(generator.matrix)):
         raise ValueError("generator contains non-finite entries")
@@ -204,12 +150,10 @@ def plan(generator: ConditionalGenerator, t_total: float,
         raise ValueError("n_outputs must be >= 1")
     if min_substeps < 1:
         raise ValueError("min_substeps must be >= 1")
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     n_sub = int(min_substeps)
     return PropagatorPlan(
         generator=generator, t_total=float(t_total), n_outputs=int(n_outputs),
-        n_sub=n_sub, dt=t_total / (n_outputs * n_sub), eps=float(eps),
+        n_sub=n_sub, dt=t_total / (n_outputs * n_sub),
     )
 
 
@@ -273,7 +217,7 @@ def _clusters(g: np.ndarray) -> list:
     """
     diag = g.diagonal()
     order = np.argsort(diag.imag, kind="stable")
-    coupling = float((np.abs(g).sum(axis=1) - np.abs(diag)).max())
+    coupling = float((np.abs(g).sum(axis=1) - np.abs(diag)).max(initial=0.0))
     cuts = np.flatnonzero(np.diff(diag.imag[order]) > _SEP * coupling) + 1
     return np.split(order, cuts)
 
@@ -364,14 +308,14 @@ def _decouple(g: np.ndarray) -> tuple:
     return order, splits, leaves
 
 
-def _leaf_expm(m: np.ndarray, omega: float, t: float, tol: float) -> np.ndarray:
+def _leaf_expm(m: np.ndarray, omega: float, t: float) -> np.ndarray:
     """exp(m t) as e^(i omega t) exp((m - i omega) t); a block left whole
     has omega = 0 and is exponentiated exactly as given."""
     if not omega:
-        return expm(m * t, tol=tol)
+        return expm(m * t)
     shifted = m * t
     shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
-    return np.exp(1j * omega * t) * expm(shifted, tol=tol)
+    return np.exp(1j * omega * t) * expm(shifted)
 
 
 def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
@@ -398,8 +342,7 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     for gap in np.diff(ks, prepend=0):
         if gap:
             if gap not in exps:
-                exps[gap] = [_leaf_expm(m, omega, gap * p.dt, p.eps / 10.0)
-                             for _, m, omega in leaves]
+                exps[gap] = [_leaf_expm(m, omega, gap * p.dt) for _, m, omega in leaves]
             for (part, _, _), e in zip(leaves, exps[gap]):
                 cur[part] = e @ cur[part]
         # and back, innermost split first: v_s = a + Y b, v_f = b + X v_s

@@ -64,9 +64,9 @@ def test_shelving_survival_and_fit_are_one_exponential_each(capsys, monkeypatch,
     calls = []
     real = propagator.expm
 
-    def counted(a, **kwargs):
+    def counted(a):
         calls.append(a.shape)
-        return real(a, **kwargs)
+        return real(a)
 
     monkeypatch.setattr(propagator, "expm", counted)
     code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
@@ -246,7 +246,7 @@ def test_config_file_unknown_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("spacing", "logg"), ("initial", "xx"),
-    ("g", "-1"), ("threshold", "nan"), ("eps", "0"), ("n-outputs", "0"), ("count", "0"),
+    ("g", "-1"), ("threshold", "nan"), ("n-outputs", "0"), ("count", "0"),
 ])
 def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
     cfg = tmp_path / "cfg.txt"
@@ -307,7 +307,6 @@ REJECTED = [
     (("run", "--scheme", "raman", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
     (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
       "--count", "2", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    (("run", *SHELVING, "--eps", "1e-3"), "", ("--eps (flag)",)),
     (("run", *SHELVING, "--n-max", "9"), "", ("--n-max (flag)",)),
     (("run", *SHELVING, "--initial", "11"), "", ("--initial (flag)",)),
     (("converge", *SHELVING, "--tmax", "1000"), "", ("--tmax (flag)",)),
@@ -341,7 +340,7 @@ def test_option_the_run_would_not_read_exits_2(capsys, tmp_path, argv, config, n
     ("run", *LAMBDA, "--g", "0"),
     ("run", *LAMBDA, "--threshold", "nan"),
     ("run", *LAMBDA, "--threshold", "-1"),
-    ("run", *LAMBDA, "--eps", "inf"),
+    ("run", *LAMBDA, "--threshold", "inf"),
     ("run", *SHELVING, "--tmax", "0"),
     ("run", *SHELVING, "--tmax", "inf"),
     ("run", *SHELVING, "--n-outputs", "0"),
@@ -353,6 +352,20 @@ def test_scale_threshold_horizon_and_counts_are_checked(capsys, argv):
     assert code == 2
     assert out == ""
     assert f"argument {argv[-2]}: expected" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("run", *LAMBDA, "--eps", "1e-9"), ""),
+    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\neps=1e-9\n"),
+], ids=["flag", "config"])
+def test_eps_is_not_an_option(capsys, tmp_path, argv, config):
+    # every exponential is taken at unit roundoff, so there is no accuracy target to set
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "eps" in err
 
 
 def test_help_names_schemes_and_commands_of_every_option():
@@ -377,33 +390,31 @@ SHELVING_ROW = "fitted_dark_time fit_points -> 2x"
 PINNED = [
     (("run", "--scheme", "lambda", "--omega0", "0.1"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "eps=1e-09 threshold=0.1 g=1.0"),
+     "threshold=0.1 g=1.0"),
     (("run", "--scheme", "raman", "--omega20", "0.05", "--gamma", "0.2"), 1,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=1000.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 eps=1e-09 "
-     "threshold=0.1 g=1.0"),
+     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 threshold=0.1 g=1.0"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--omega-s", "1", "--gamma-s", "1"), 0,
      "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=500 "
      "threshold=0.1 g=1.0 tmax=5000.0"),
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
       "--count", "2", "--spacing", "log"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "eps=1e-09 threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
+     "threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
     (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
       "--count", "2"), 1,
      "# params: scheme=raman omega20=0.03 omega21=0.03 kappa=0.001 delta=1000.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 "
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 "
      "threshold=0.1 g=1.0 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
     (("run", "--config", "{cfg}", "--threshold", "0.2"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.001 initial=11 n_max=2 relax_window=True "
-     "eps=1e-09 threshold=0.2 g=1.0"),
+     "threshold=0.2 g=1.0"),
     (("run", "--scheme", "lambda", "--omega0", "0.1", "--gamma", "0.001", "--relax-window"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.001 initial=10 n_max=3 relax_window=True "
-     "eps=1e-09 threshold=0.1 g=1.0"),
+     "threshold=0.1 g=1.0"),
     (("run", "--scheme", "raman", "--delta0", "700"), 2,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=700.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 eps=1e-09 "
-     "threshold=0.1 g=1.0"),
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 threshold=0.1 g=1.0"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "1000", "--n-outputs", "4",
       "--g", "2", "--samples-out", "{samples}"), 0,
      "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=4 "
