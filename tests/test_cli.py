@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cavgate import propagator
 from cavgate.cli import COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
 
 
@@ -60,18 +59,10 @@ def test_run_shelving_fit(capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "converge"])
-def test_shelving_survival_and_fit_are_one_exponential_each(capsys, monkeypatch, command):
-    calls = []
-    real = propagator.expm
-
-    def counted(a):
-        calls.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(propagator, "expm", counted)
+def test_shelving_survival_and_fit_are_one_exponential_each(capsys, exponentials, command):
     code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
     assert code == 0
-    assert len(calls) <= 2
+    assert len(exponentials.expm) <= 2
 
 
 def test_run_shelving_samples_file(capsys, tmp_path):

@@ -93,6 +93,25 @@ def test_expm_trivial_and_errors():
         expm(np.array([[np.nan, 0], [0, 1.0]]))
 
 
+@pytest.mark.parametrize("a", [
+    np.diag([-746.0, -746.0, -1e6]),
+    # non-normal, mu = max(-1000 + 250, -750) = -750
+    np.array([[-1000.0, 250.0], [0.0, -750.0]]),
+], ids=["diagonal", "non_normal"])
+def test_expm_underflow_is_exact_zero_without_pade(a, exponentials):
+    out = expm(a)
+    assert out.shape == a.shape and not np.any(out)
+    assert exponentials.pade == []
+
+
+def test_expm_near_underflow_still_evaluates(exponentials):
+    # mu = -745 lies just above -1075 ln 2: e^-745 rounds to the smallest
+    # subnormal, not to zero
+    assert expm(np.diag([-745.0]))[0, 0] == 5e-324
+    assert expm(np.diag([-700.0]))[0, 0] == pytest.approx(np.exp(-700.0), rel=1e-14)
+    assert exponentials.pade == [1, 1]
+
+
 @pytest.mark.parametrize("norms,bound", [
     (np.geomspace(1e-4, 1.0, 9), 1e-14),
     (np.geomspace(1.0, 500.0, 9), 1e-12),
@@ -129,7 +148,7 @@ def test_plan_unitary_step_for_hermitian_limit():
     assert np.abs(e.conj().T @ e - np.eye(basis.dim)).max() <= 1e-8
 
 
-def test_plan_long_horizon_step_budget(monkeypatch):
+def test_plan_long_horizon_step_budget(exponentials):
     # the longest supported pulse: six-level gate at its weakest drive is
     # one exponential per decoupled cluster, however long the pulse
     basis = build_basis("raman", 2)
@@ -137,9 +156,8 @@ def test_plan_long_horizon_step_budget(monkeypatch):
     gen = build_generator_raman(params, basis)
     t = raman_pulse_duration(params)
     assert t == pytest.approx(6.283185307179586e5, rel=1e-12)
-    sizes = _expm_sizes(monkeypatch)
     propagate(plan(gen, t), basis_state(basis, 0, "10"), [t])
-    assert len(sizes) <= 3
+    assert len(exponentials.expm) <= 3
 
 
 def test_plan_input_validation():
@@ -151,6 +169,12 @@ def test_plan_input_validation():
         plan(gen, 0.0)
     with pytest.raises(ValueError):
         plan(gen, 1.0, n_outputs=0)
+    # counts must be integers: a fractional one would leave the grid short
+    # of t_total (n_outputs) or be silently truncated (min_substeps)
+    with pytest.raises(ValueError, match="n_outputs"):
+        plan(gen, 1.0, n_outputs=2.7)
+    with pytest.raises(ValueError, match="min_substeps"):
+        plan(gen, 1.0, min_substeps=1.5)
     bad = ConditionalGenerator(basis, np.full((3, 3), np.inf + 0j))
     with pytest.raises(ValueError):
         plan(bad, 1.0)
@@ -251,27 +275,13 @@ def test_propagate_repeated_time_returns_identical_state():
     assert np.array_equal(out[4].amplitudes, out[2].amplitudes)
 
 
-def _expm_sizes(monkeypatch) -> list:
-    """Sizes of the matrices propagate exponentiates from now on."""
-    sizes = []
-    real = propagator.expm
-
-    def counted(a):
-        sizes.append(a.shape[0])
-        return real(a)
-
-    monkeypatch.setattr(propagator, "expm", counted)
-    return sizes
-
-
-def test_output_grid_is_one_exponential_on_the_reachable_block(monkeypatch):
+def test_output_grid_is_one_exponential_on_the_reachable_block(exponentials):
     # |10> reaches 24 of the 36 lambda states; the other 12 stay exactly zero
-    sizes = _expm_sizes(monkeypatch)
     basis = build_basis("lambda", 3)
     gen = build_generator_lambda(LambdaParams(omega0=0.1, kappa=1.0, gamma=1e-3), basis)
     p = plan(gen, 30.0, n_outputs=30)
     traj = propagate(p, basis_state(basis, 0, "10"), output_times(p))
-    assert sizes == [24]
+    assert exponentials.expm == [24]
     assert all(np.count_nonzero(s.amplitudes) <= 24 for s in traj)
 
 
@@ -288,33 +298,30 @@ def _gate_run_and_whole_block(params):
     return final, whole
 
 
-def test_near_resonance_raman_is_one_exponential_of_the_whole_block(monkeypatch):
+def test_near_resonance_raman_is_one_exponential_of_the_whole_block(exponentials):
     # at delta=5 the excited states lie within the coupling spread of the
     # ground states: no cluster splits off, and the run is the undecoupled one
-    sizes = _expm_sizes(monkeypatch)
     final, whole = _gate_run_and_whole_block(RamanParams(delta=5.0))
-    assert sizes == [72]
+    assert exponentials.expm == [72]
     assert np.array_equal(final, whole)
 
 
-def test_unconverged_sweeps_fall_back_to_the_whole_block(monkeypatch):
+def test_unconverged_sweeps_fall_back_to_the_whole_block(monkeypatch, exponentials):
     # one sweep cannot reach roundoff, so W2 takes the undecoupled path
     monkeypatch.setattr(propagator, "_SWEEPS", 1)
-    sizes = _expm_sizes(monkeypatch)
     final, whole = _gate_run_and_whole_block(RamanParams(omega20=0.05, omega21=0.05))
-    assert sizes == [72]
+    assert exponentials.expm == [72]
     assert np.array_equal(final, whole)
 
 
-def test_decoupled_output_grid_matches_scipy(monkeypatch):
+def test_decoupled_output_grid_matches_scipy(exponentials):
     params = RamanParams(omega20=0.05, omega21=0.05)
     basis = build_basis("raman", 2)
     gen = build_generator_raman(params, basis)
     p = plan(gen, raman_pulse_duration(params) / 100, n_outputs=10)
     state = basis_state(basis, 0, "10")
-    sizes = _expm_sizes(monkeypatch)
     traj = propagate(p, state, output_times(p))
-    assert sorted(sizes) == [18, 18, 36]
+    assert sorted(exponentials.expm) == [18, 18, 36]
     # scipy's own squarings of the whole generator err by up to about
     # u |G|_1 t, which bounds the comparison (it is 1.9e-11 off at the last
     # output; the decoupled states match the 50-digit p0 at W2 to 3e-14)
@@ -324,6 +331,22 @@ def test_decoupled_output_grid_matches_scipy(monkeypatch):
     for t, s in zip(output_times(p), traj):
         assert np.abs(s.amplitudes - ref).max() <= 1e-12 + 2.0 ** -53 * g_norm * t
         ref = step @ ref
+
+
+def test_decaying_excited_clusters_skip_the_pade_core(monkeypatch, exponentials):
+    # with atomic decay gamma = 0.5 over the pulse, both excited clusters
+    # have mu T below -1e4: their exponentials are exact zeros, and only
+    # the 18-state ground cluster reaches the Pade core
+    params = RamanParams(delta=1000.0, omega_diag=2.0, kappa=1e-3,
+                         omega20=0.05, omega21=0.05, gamma=0.5)
+    psi = [0.0, 0.0, 1.0, 0.0]
+    final = gate_run("raman", params, psi).final_state.amplitudes
+    assert sorted(exponentials.expm) == [18, 18, 36]
+    assert exponentials.pade == [18]
+    monkeypatch.setattr(propagator, "_UNDERFLOW", -np.inf)
+    evaluated = gate_run("raman", params, psi).final_state.amplitudes
+    assert sorted(exponentials.pade[1:]) == [18, 18, 36]
+    assert np.array_equal(final, evaluated)
 
 
 def test_no_photon_probability_basics():
