@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import io
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +51,15 @@ __all__ = [
     "ConditionalGenerator",
     "build_basis",
     "basis_state",
+    "as_integer",
+    "set_rates",
+    "qubit_state",
     "dfs_projector",
     "qubit_indices",
     "lambda_symmetrization_matrix",
     "fock_lowering",
     "ket_bra",
+    "two_atom",
     "sparse_term",
     "assemble",
 ]
@@ -95,6 +101,38 @@ class SchemeMismatchError(ValueError):
     """An operation received a basis built for a different level scheme."""
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int: integers and integral floats such as 2.0 pass;
+    2.7, "3" or inf raise a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def set_rates(params, names) -> None:
+    """Store the named fields of a frozen parameter dataclass as floats; the
+    first that is not a finite non-negative rate raises a ValueError naming it."""
+    for name in names:
+        v = float(getattr(params, name))
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
+        object.__setattr__(params, name, v)
+
+
+def qubit_state(psi) -> np.ndarray:
+    """``psi`` as 4 complex amplitudes over ``QUBIT_CONFIGS``; it must have
+    unit norm (to 1e-9), and any shape holding 4 entries is flattened."""
+    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    if v.shape != (4,):
+        raise ValueError(f"expected 4 amplitudes over (00, 01, 10, 11), got shape {v.shape}")
+    if abs(np.vdot(v, v).real - 1.0) > 1e-9:
+        raise ValueError(f"qubit state must be unit norm, got |psi|^2 = {np.vdot(v, v).real!r}")
+    return v
+
+
 def _normalize_config(scheme: str, config) -> str:
     """Canonicalize a configuration label; tuples are accepted for raman."""
     if isinstance(config, tuple):
@@ -121,8 +159,9 @@ class Basis:
         return len(self.labels)
 
     def index(self, n: int, config) -> int:
-        """Integer index of the label (n, config); raises on unknown labels."""
-        key = (int(n), _normalize_config(self.scheme, config))
+        """Integer index of the label (n, config); raises ValueError on
+        unknown labels and on a non-integral n."""
+        key = (as_integer("n", n), _normalize_config(self.scheme, config))
         try:
             return self._index[key]
         except KeyError:
@@ -157,11 +196,11 @@ def build_basis(scheme: str, n_max: int) -> Basis:
     ----------
     scheme : {"lambda", "raman", "shelving"}
     n_max : int
-        Photon-number cutoff, >= 0.
+        Photon-number cutoff, >= 0; 2.0 counts as 2, 2.7 raises ValueError.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    n_max = int(n_max)
+    n_max = as_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     configs = _CONFIGS[scheme]
@@ -226,7 +265,8 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square operator over a basis."""
+    """Dense square operator over a basis; the matrix is stored as complex128
+    and must be basis.dim x basis.dim."""
 
     basis: Basis
     matrix: np.ndarray
@@ -234,7 +274,7 @@ class Operator:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(f"operator shape {m.shape} does not match basis dimension {self.basis.dim}")
+            raise ValueError(f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, state: StateVector) -> StateVector:
@@ -243,22 +283,13 @@ class Operator:
         return StateVector(self.basis, self.matrix @ state.amplitudes)
 
 
-@dataclass(frozen=True)
-class ConditionalGenerator:
+class ConditionalGenerator(Operator):
     """Generator G of conditional no-emission dynamics, d(psi)/dt = G psi.
 
     G = -i H with H the (non-Hermitian) conditional Hamiltonian, so the
-    squared norm of the evolved state decays monotonically.
+    squared norm of the evolved state decays monotonically.  The matrix is
+    checked and stored as for ``Operator``.
     """
-
-    basis: Basis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(f"generator shape {m.shape} does not match basis dimension {self.basis.dim}")
-        object.__setattr__(self, "matrix", m)
 
     @property
     def hamiltonian(self) -> np.ndarray:
@@ -328,7 +359,7 @@ def lambda_symmetrization_matrix() -> np.ndarray:
 
 def fock_lowering(n_max: int) -> np.ndarray:
     """Photon annihilation operator on the truncated Fock space."""
-    if n_max < 0:
+    if as_integer("n_max", n_max) < 0:
         raise ValueError("n_max must be >= 0")
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1).astype(np.complex128)
 
@@ -338,6 +369,14 @@ def ket_bra(dim: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[i, j] = 1.0
     return m
+
+
+def two_atom(atom1: np.ndarray | None = None, atom2: np.ndarray | None = None) -> np.ndarray:
+    """atom1 (x) I + I (x) atom2 on the product space of two atoms, atom 1
+    major; a single-atom operator left None drops its term."""
+    eye = np.eye(len(atom2 if atom1 is None else atom1), dtype=np.complex128)
+    first = 0.0 if atom1 is None else np.kron(atom1, eye)
+    return first + (0.0 if atom2 is None else np.kron(eye, atom2))
 
 
 def sparse_term(m: np.ndarray) -> tuple:

@@ -31,7 +31,10 @@ from .hilbert import (
     fock_lowering,
     ket_bra,
     lambda_symmetrization_matrix,
+    qubit_state,
+    set_rates,
     sparse_term,
+    two_atom,
 )
 from .propagator import expm
 from .regime import (
@@ -72,11 +75,7 @@ class LambdaParams:
     g: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega0", "kappa", "gamma", "g"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
-            object.__setattr__(self, name, v)
+        set_rates(self, ("omega0", "kappa", "gamma", "g"))
 
     @property
     def omega(self) -> float:
@@ -102,15 +101,6 @@ _T21 = ket_bra(3, 2, 1)   # |2><1|
 _T02 = ket_bra(3, 0, 2)   # |0><2|
 _T12 = ket_bra(3, 1, 2)   # |1><2|
 _P22 = ket_bra(3, 2, 2)
-_I3 = np.eye(3, dtype=np.complex128)
-
-
-def _atom1(op: np.ndarray) -> np.ndarray:
-    return np.kron(op, _I3)
-
-
-def _atom2(op: np.ndarray) -> np.ndarray:
-    return np.kron(_I3, op)
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,13 +129,13 @@ def _product_terms(n_max: int) -> tuple:
     nf = n_max + 1
     b = fock_lowering(n_max)
     sectors = np.eye(nf, dtype=np.complex128)
-    cavity = 1j * (np.kron(b, _atom1(_T21)) + np.kron(b, _atom2(_T21)))
-    lower = _atom2(_T02) + _atom1(_T12)
+    cavity = 1j * np.kron(b, two_atom(_T21, _T21))
+    lower = two_atom(_T12, _T02)
     terms = (
         cavity + cavity.conj().T,
         np.kron(sectors, lower + lower.conj().T),
         np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128)),
-        np.kron(sectors, _atom1(_P22) + _atom2(_P22)),
+        np.kron(sectors, two_atom(_P22, _P22)),
     )
     return tuple(sparse_term(t) for t in terms)
 
@@ -273,15 +263,12 @@ def first_order_gate_matrix(params: LambdaParams) -> np.ndarray:
 def first_order_success_probability(psi, params: LambdaParams) -> float:
     """No-emission probability of a full pulse, to first order in k_i*T.
 
-    ``psi`` is a unit-norm amplitude vector over (00, 01, 10, 11).  Outside
-    the weak-driving regime the first-order expression can leave [0, 1];
-    the returned value is then clamped and a RegimeWarning is emitted.
+    ``psi`` is a unit-norm amplitude vector over (00, 01, 10, 11), checked
+    by ``qubit_state`` as ``gate_run`` checks it.  Outside the weak-driving
+    regime the first-order expression can leave [0, 1]; the returned value
+    is then clamped and a RegimeWarning is emitted.
     """
-    v = np.asarray(psi, dtype=np.complex128)
-    if v.shape != (4,):
-        raise ValueError(f"expected a qubit state over {('00', '01', '10', '11')}, got shape {v.shape}")
-    if abs(np.vdot(v, v).real - 1.0) > 1e-9:
-        raise ValueError("qubit state must be unit norm")
+    v = qubit_state(psi)
     rates = effective_rates(params)
     t = pulse_duration(params)
     k1, k2 = rates.k1, rates.k2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, StateVector, build_basis, qubit_indices
+from .hilbert import Basis, StateVector, build_basis, qubit_indices, qubit_state
 from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration, validate_regime_lambda
 from .propagator import plan, propagate
 from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration, validate_regime_raman
@@ -56,18 +56,9 @@ CNOT_MATRIX = np.array(
 DEFAULT_N_MAX = {"lambda": 3, "raman": 2}
 
 
-def _check_qubit_state(psi) -> np.ndarray:
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if v.shape != (4,):
-        raise ValueError(f"expected 4 amplitudes over (00, 01, 10, 11), got shape {v.shape}")
-    if abs(np.vdot(v, v).real - 1.0) > 1e-9:
-        raise ValueError(f"qubit state must be unit norm, got |psi|^2 = {np.vdot(v, v).real!r}")
-    return v
-
-
 def cnot_target(psi) -> np.ndarray:
     """Ideal CNOT image of a unit-norm qubit state (control first)."""
-    return CNOT_MATRIX @ _check_qubit_state(psi)
+    return CNOT_MATRIX @ qubit_state(psi)
 
 
 def cnot_unitarity_check() -> bool:
@@ -83,7 +74,7 @@ def cnot_unitarity_check() -> bool:
 
 def embed_qubit_state(basis: Basis, psi) -> StateVector:
     """Place qubit amplitudes on the zero-photon computational configurations."""
-    v = _check_qubit_state(psi)
+    v = qubit_state(psi)
     amps = np.zeros(basis.dim, dtype=np.complex128)
     for idx, amp in zip(qubit_indices(basis), v):
         amps[idx] = amp
@@ -137,7 +128,7 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         5/gamma with the lasers off so residual bus population decays
         before the state is scored.  Requires gamma > 0.
     """
-    v = _check_qubit_state(psi)
+    v = qubit_state(psi)
     if scheme == "lambda":
         if not isinstance(params, LambdaParams):
             raise TypeError(f"scheme 'lambda' needs LambdaParams, got {type(params).__name__}")

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ConditionalGenerator, StateVector
+from .hilbert import ConditionalGenerator, StateVector, as_integer
 
 __all__ = [
     "DEFAULT_OUTPUTS",
@@ -179,10 +178,7 @@ def plan(generator: ConditionalGenerator, t_total: float,
 
 def _count(name: str, value) -> int:
     """``value`` as a positive int; a ValueError naming ``name`` otherwise."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    n = as_integer(name, value)
     if n < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
     return n
@@ -340,10 +336,12 @@ def _decouple(g: np.ndarray) -> tuple:
 
 
 def _leaf_expm(m: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """exp(m t) as e^(i omega t) exp((m - i omega) t); a block left whole
-    has omega = 0 and is exponentiated exactly as given."""
-    if not omega:
-        return expm(m * t)
+    """exp(m t) as e^(i omega t) exp((m - i omega) t).
+
+    A block left whole has omega = 0: subtracting 0j leaves every entry of
+    m t as it is, so expm sees exactly m t, and the factor 1 + 0j changes at
+    most the sign of a zero.
+    """
     shifted = m * t
     shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
     return np.exp(1j * omega * t) * expm(shifted)

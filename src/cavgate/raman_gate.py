@@ -32,7 +32,9 @@ from .hilbert import (
     assemble,
     fock_lowering,
     ket_bra,
+    set_rates,
     sparse_term,
+    two_atom,
 )
 from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian, _to_symmetrized
 from .regime import (
@@ -53,7 +55,6 @@ __all__ = [
 ]
 
 _LEV = {name: i for i, name in enumerate(RAMAN_LEVELS)}
-_I6 = np.eye(6, dtype=np.complex128)
 
 
 def _triple(value, name: str) -> tuple:
@@ -90,11 +91,7 @@ class RamanParams:
         object.__setattr__(self, "delta", _triple(self.delta, "delta"))
         object.__setattr__(self, "omega_diag", _triple(self.omega_diag, "omega_diag"))
         object.__setattr__(self, "gamma", _triple(self.gamma, "gamma"))
-        for name in ("g", "kappa", "omega20", "omega21"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
-            object.__setattr__(self, name, v)
+        set_rates(self, ("g", "kappa", "omega20", "omega21"))
         if any(d <= 0.0 for d in self.delta):
             raise ValueError(f"detunings must be positive, got {self.delta!r}")
         if any(v < 0.0 for v in self.omega_diag) or any(v < 0.0 for v in self.gamma):
@@ -135,14 +132,6 @@ def effective_lambda_view(params: RamanParams) -> EffectiveLambdaView:
     )
 
 
-def _atom1(op: np.ndarray) -> np.ndarray:
-    return np.kron(op, _I6)
-
-
-def _atom2(op: np.ndarray) -> np.ndarray:
-    return np.kron(_I6, op)
-
-
 @functools.lru_cache(maxsize=8)
 def _raman_terms(n_max: int) -> tuple:
     """Constant operator terms of the six-level Hamiltonian, one per rate.
@@ -160,15 +149,15 @@ def _raman_terms(n_max: int) -> tuple:
     def hermitian(op):
         return op + op.conj().T
 
-    atomic = [hermitian(_atom1(ket_bra(6, _LEV["2"], _LEV["e1"]))),
-              hermitian(_atom2(ket_bra(6, _LEV["2"], _LEV["e0"])))]
+    atomic = [hermitian(two_atom(ket_bra(6, _LEV["2"], _LEV["e1"]))),
+              hermitian(two_atom(atom2=ket_bra(6, _LEV["2"], _LEV["e0"])))]
     for j in range(3):
         drive = ket_bra(6, _LEV[str(j)], _LEV[f"e{j}"])
         proj = ket_bra(6, _LEV[f"e{j}"], _LEV[f"e{j}"])
-        atomic += [hermitian(_atom1(drive) + _atom2(drive)), _atom1(proj) + _atom2(proj)]
+        atomic += [hermitian(two_atom(drive, drive)), two_atom(proj, proj)]
     terms = [np.kron(sectors, op) for op in atomic]
     jump = ket_bra(6, _LEV["e2"], _LEV["1"])
-    terms.append(hermitian(1j * (np.kron(b, _atom1(jump)) + np.kron(b, _atom2(jump)))))
+    terms.append(hermitian(1j * np.kron(b, two_atom(jump, jump))))
     terms.append(np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128)))
     return tuple(sparse_term(t) for t in terms)
 
@@ -201,12 +190,11 @@ def _shift_terms(n_max: int) -> tuple:
     population of both atoms.  Read-only ``sparse_term``s over the
     (n_max+1)*9 basis, built on first use of a cutoff.
     """
-    i3 = np.eye(3, dtype=np.complex128)
     b = fock_lowering(n_max)
-    both = [np.kron(ket_bra(3, j, j), i3) + np.kron(i3, ket_bra(3, j, j)) for j in range(3)]
+    both = [two_atom(ket_bra(3, j, j), ket_bra(3, j, j)) for j in range(3)]
     p2 = ket_bra(3, 2, 2)
     sectors = np.eye(n_max + 1, dtype=np.complex128)
-    terms = [np.kron(sectors, op) for op in both + [np.kron(p2, i3), np.kron(i3, p2)]]
+    terms = [np.kron(sectors, op) for op in both + [two_atom(p2), two_atom(atom2=p2)]]
     terms.append(np.kron(b.conj().T @ b, both[1]))
     return tuple(sparse_term(t) for t in terms)
 

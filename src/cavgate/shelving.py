@@ -11,13 +11,12 @@ gate schemes.  Both drives are taken resonant.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis
+from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis, set_rates
 from .propagator import plan, propagate
 from .regime import (
     DEFAULT_THRESHOLD,
@@ -45,11 +44,7 @@ class ShelvingParams:
     gamma_s: float
 
     def __post_init__(self):
-        for name in ("omega_w", "omega_s", "gamma_s"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
-            object.__setattr__(self, name, v)
+        set_rates(self, ("omega_w", "omega_s", "gamma_s"))
 
 
 def build_generator_shelving(params: ShelvingParams, basis: Basis | None = None) -> ConditionalGenerator:

@@ -12,10 +12,14 @@ from cavgate.hilbert import (
     basis_state,
     build_basis,
     dfs_projector,
+    fock_lowering,
     lambda_symmetrization_matrix,
     qubit_indices,
 )
-from cavgate.lambda_gate import cavity_coupling, laser_coupling
+from cavgate.lambda_gate import LambdaParams, cavity_coupling, laser_coupling
+from cavgate.metrics import gate_run
+from cavgate.raman_gate import RamanParams
+from cavgate.shelving import ShelvingParams
 
 
 def test_dimensions():
@@ -171,3 +175,35 @@ def test_basis_equality_and_sharing():
     b = build_basis("lambda", 2)
     assert a == b
     assert a != build_basis("lambda", 3)
+
+
+def test_non_integral_cutoffs_and_photon_numbers_are_rejected():
+    # truncating would quietly run a different cutoff or address another sector
+    with pytest.raises(ValueError, match="n_max"):
+        build_basis("lambda", 2.7)
+    with pytest.raises(ValueError, match="n_max"):
+        build_basis("lambda", "3")
+    with pytest.raises(ValueError, match="n_max"):
+        gate_run("lambda", LambdaParams(0.1), [0, 0, 1, 0], n_max=3.9)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        build_basis("lambda", 2).index(1.9, "00")
+    with pytest.raises(ValueError, match="n_max"):
+        fock_lowering(2.7)
+    # integral floats still name the integer
+    assert build_basis("raman", 1.0) is build_basis("raman", 1)
+    assert build_basis("lambda", 2).index(1.0, "00") == 9
+
+
+RATE_FIELDS = [(LambdaParams, {"omega0": 0.1}, name) for name in ("omega0", "kappa", "gamma", "g")]
+RATE_FIELDS += [(RamanParams, {}, name) for name in ("g", "kappa", "omega20", "omega21")]
+RATE_FIELDS += [(ShelvingParams, {"omega_w": 0.02, "omega_s": 1.0, "gamma_s": 1.0}, name)
+                for name in ("omega_w", "omega_s", "gamma_s")]
+
+
+@pytest.mark.parametrize("cls,base,name", RATE_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, _, n in RATE_FIELDS])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_every_scalar_rate_must_be_finite_and_non_negative(cls, base, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite non-negative rate"):
+        cls(**{**base, name: value})
+    assert getattr(cls(**{**base, name: 2}), name) == 2.0

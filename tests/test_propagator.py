@@ -314,6 +314,15 @@ def test_unconverged_sweeps_fall_back_to_the_whole_block(monkeypatch, exponentia
     assert np.array_equal(final, whole)
 
 
+def test_refused_split_falls_back_to_the_whole_block(monkeypatch, exponentials):
+    # at _SEP = 2 the delta = 30 block cuts 18/36/18, but the first Riccati
+    # sweep estimates a contraction q = 0.72 >= 1/2, so the split is refused
+    monkeypatch.setattr(propagator, "_SEP", 2.0)
+    final, whole = _gate_run_and_whole_block(RamanParams(delta=30.0))
+    assert exponentials.expm == [72]
+    assert np.array_equal(final, whole)
+
+
 def test_decoupled_output_grid_matches_scipy(exponentials):
     params = RamanParams(omega20=0.05, omega21=0.05)
     basis = build_basis("raman", 2)
