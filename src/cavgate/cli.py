@@ -329,9 +329,7 @@ def _echo_line(command: str, scheme: str, params, opts: dict, extra: dict) -> st
         elif row.default is not None and row.used(command, scheme):
             pairs.append((row.dest, opts[row.dest]))
     pairs += extra.items()
-    return "# params: " + " ".join(
-        f"{k}={v if isinstance(v, str) else _fmt(v)}" for k, v in pairs
-    )
+    return "# params: " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
 def _initial_vector(label: str) -> np.ndarray:
@@ -343,19 +341,13 @@ def _initial_vector(label: str) -> np.ndarray:
 def _gate_row(scheme: str, params, result, opts: dict) -> list:
     gs = opts["g"]
     if scheme == "lambda":
-        weak, delta, strong = params.omega0 * gs, None, None
-        kappa, gamma = params.kappa * gs, _fmt(params.gamma * gs)
+        weak, gamma, delta, strong = params.omega0 * gs, params.gamma * gs, None, None
     else:
-        weak = params.omega20 * gs if params.omega21 == params.omega20 else \
-            f"{_fmt(params.omega20 * gs)};{_fmt(params.omega21 * gs)}"
-        kappa = params.kappa * gs
-        gamma = _join_per_j(params.gamma, gs)
-        delta = _join_per_j(params.delta, gs)
-        strong = _join_per_j(params.omega_diag, gs)
+        weak = _join_per_j((params.omega20, params.omega21), gs)
+        gamma, delta, strong = (_join_per_j(v, gs)
+                                for v in (params.gamma, params.delta, params.omega_diag))
     return [
-        scheme, _fmt(weak), _fmt(kappa), gamma, _fmt(gs),
-        delta if isinstance(delta, str) else _fmt(delta),
-        strong if isinstance(strong, str) else _fmt(strong),
+        scheme, _fmt(weak), _fmt(params.kappa * gs), _fmt(gamma), _fmt(gs), _fmt(delta), _fmt(strong),
         str(opts["n_max"]), _fmt(result.gate_time / gs), _fmt(result.p0),
         _fmt(result.fidelity), _fmt(result.fidelity_unconditional),
     ]

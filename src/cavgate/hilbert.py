@@ -18,7 +18,8 @@ Three level schemes are supported:
 Units: hbar = 1 and every rate is expressed in units of the atom-cavity
 coupling g, so g = 1 unless stated otherwise.  Basis ordering is photon-
 number major with a fixed configuration order inside each photon sector,
-so serialized states are portable.
+so serialized states are portable.  ``CNOT_MATRIX`` is the target gate
+over ``QUBIT_CONFIGS``, the zero-photon qubit states of lambda and raman.
 
 Generators are assembled from constant operator terms, one per rate, kept
 as their nonzero entries (``sparse_term``) and scaled and summed by
@@ -42,6 +43,7 @@ __all__ = [
     "RAMAN_CONFIGS",
     "SHELVING_CONFIGS",
     "QUBIT_CONFIGS",
+    "CNOT_MATRIX",
     "DFS_LABELS",
     "SCHEMES",
     "SchemeMismatchError",
@@ -84,6 +86,15 @@ SHELVING_CONFIGS = ("A", "B", "C")
 
 #: Computational-basis configurations (control atom first).
 QUBIT_CONFIGS = ("00", "01", "10", "11")
+
+#: Ideal CNOT over ``QUBIT_CONFIGS``, control atom first.
+CNOT_MATRIX = np.array(
+    [[1, 0, 0, 0],
+     [0, 1, 0, 0],
+     [0, 0, 0, 1],
+     [0, 0, 1, 0]],
+    dtype=np.complex128,
+)
 
 #: Labels spanning the decoherence-free subspace of the lambda scheme.
 DFS_LABELS = ((0, "00"), (0, "01"), (0, "10"), (0, "11"), (0, "a"))
@@ -174,11 +185,6 @@ class Basis:
         """(n, config) label stored at index i."""
         return self.labels[i]
 
-    @property
-    def configs(self) -> tuple:
-        """Configuration order inside each photon sector."""
-        return _CONFIGS[self.scheme]
-
     def require_scheme(self, scheme: str) -> None:
         if self.scheme != scheme:
             raise SchemeMismatchError(f"expected a {scheme!r} basis, got {self.scheme!r}")
@@ -240,9 +246,6 @@ class StateVector:
         if self.basis != other.basis:
             raise ValueError("cannot take the overlap of states over different bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
 
     def to_csv(self) -> str:
         """Serialize as CSV rows ``n,config,re,im`` (one row per label)."""
@@ -334,26 +337,20 @@ def lambda_symmetrization_matrix() -> np.ndarray:
     """Unitary mapping symmetrized lambda coordinates to product coordinates.
 
     Columns are the ``LAMBDA_CONFIGS`` vectors expressed over
-    ``LAMBDA_PRODUCT_CONFIGS``; use ``W.conj().T @ H_prod @ W`` to rotate an
-    operator from the product basis into the stored basis.
+    ``LAMBDA_PRODUCT_CONFIGS``: a unit entry for each of the seven labels
+    the two share, and (|12> -+ |21>)/sqrt(2) for ``a`` and ``s``.  Use
+    ``W.conj().T @ H_prod @ W`` to rotate an operator from the product basis
+    into the stored basis.
     """
+    row = LAMBDA_PRODUCT_CONFIGS.index
     w = np.zeros((9, 9), dtype=np.complex128)
-    pidx = {c: i for i, c in enumerate(LAMBDA_PRODUCT_CONFIGS)}
+    for j, c in enumerate(LAMBDA_CONFIGS):
+        if c not in ("a", "s"):
+            w[row(c), j] = 1.0
     r = 1.0 / np.sqrt(2.0)
-    columns = {
-        "00": {"00": 1.0},
-        "01": {"01": 1.0},
-        "10": {"10": 1.0},
-        "11": {"11": 1.0},
-        "02": {"02": 1.0},
-        "20": {"20": 1.0},
-        "a": {"12": r, "21": -r},
-        "s": {"12": r, "21": r},
-        "22": {"22": 1.0},
-    }
-    for j, name in enumerate(LAMBDA_CONFIGS):
-        for prod, val in columns[name].items():
-            w[pidx[prod], j] = val
+    a, s = LAMBDA_CONFIGS.index("a"), LAMBDA_CONFIGS.index("s")
+    w[row("12"), [a, s]] = r
+    w[row("21"), [a, s]] = -r, r
     return w
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    CNOT_MATRIX,
     Basis,
     ConditionalGenerator,
     Operator,
@@ -248,10 +249,7 @@ def first_order_gate_matrix(params: LambdaParams) -> np.ndarray:
     rates = effective_rates(params)
     t = pulse_duration(params)
     k1, k2 = rates.k1, rates.k2
-    u = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-        dtype=np.complex128,
-    )
+    u = CNOT_MATRIX.copy()
     u[2, 2] -= 0.25 * (6.0 * k1 - k2) * t
     u[3, 3] -= 0.25 * (6.0 * k1 - k2) * t
     u[2, 3] -= 0.25 * (10.0 * k1 + k2) * t

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, StateVector, build_basis, qubit_indices, qubit_state
+from .hilbert import CNOT_MATRIX, Basis, StateVector, build_basis, qubit_indices, qubit_state
 from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration, validate_regime_lambda
 from .propagator import plan, propagate
 from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration, validate_regime_raman
@@ -40,20 +40,15 @@ __all__ = [
     "gate_run",
 ]
 
-#: Ideal CNOT over (00, 01, 10, 11), control atom first.
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
-
 #: Photon cutoffs that pass the n_max -> n_max + 1 convergence bound of
 #: 1e-6 on p0 over the supported parameter ranges.  The three-level scheme
 #: needs one sector more: its drive is stronger relative to the cavity
 #: coupling, so two-photon amplitudes are not quite negligible.
 DEFAULT_N_MAX = {"lambda": 3, "raman": 2}
+
+# a conditioned norm cannot grow, so p0 beyond 1 + _P0_SLACK is roundoff, not a
+# result; perfbench's probability check allows the same slack
+_P0_SLACK = 1e-9
 
 
 def cnot_target(psi) -> np.ndarray:
@@ -127,6 +122,9 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays
         before the state is scored.  Requires gamma > 0.
+
+    Raises ArithmeticError when an exponential overflows or p0 exceeds 1 by
+    more than 1e-9, where the roundoff of the squarings swamps the result.
     """
     v = qubit_state(psi)
     if scheme == "lambda":
@@ -162,6 +160,9 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
 
     target = embed_qubit_state(basis, cnot_target(v))
     fid, fid_unc, p0 = conditional_fidelity(target, final)
+    if p0 > 1.0 + _P0_SLACK:
+        raise ArithmeticError(f"p0 = {p0!r} exceeds 1 by more than {_P0_SLACK:g}: "
+                              "the roundoff of the exponentials swamps the result")
     return GateResult(
         p0=p0, fidelity=fid, fidelity_unconditional=fid_unc,
         gate_time=t_gate, final_state=final, regime=regime,

@@ -112,17 +112,22 @@ def expm(a: np.ndarray) -> np.ndarray:
     mu(A) = max_i (Re a_ii + sum_{j != i} |a_ij|) is below -1075 ln 2.
     Every entry of e^A is bounded by |e^A|_inf <= e^mu(A) < 2^-1075, half
     the smallest subnormal, so zero is its correctly rounded value.
+
+    A matrix whose 1-norm is not finite (a non-finite entry, or a sum that
+    overflows) raises ValueError, and squarings that overflow raise
+    ArithmeticError: no inf or NaN entry is ever returned.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    abs_a = np.abs(a)
-    norm = float(abs_a.sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_a = np.abs(a)
+        norm = float(abs_a.sum(axis=0).max(initial=0.0))
+        mu = float((abs_a.sum(axis=1) - abs_a.diagonal() + a.diagonal().real).max(initial=-math.inf))
+    if not math.isfinite(norm):
+        raise ValueError(f"matrix 1-norm is {norm!r}: an entry is not finite or the norm overflows")
     if norm == 0.0:
         return np.eye(a.shape[0], dtype=np.complex128)
-    mu = float((abs_a.sum(axis=1) - abs_a.diagonal() + a.diagonal().real).max())
     if mu < _UNDERFLOW:
         return np.zeros_like(a)
 
@@ -133,9 +138,12 @@ def expm(a: np.ndarray) -> np.ndarray:
     f = np.linalg.solve(v - u, v + u)
     # square s times, alternating between f and one spare C-ordered buffer
     spare = np.empty(f.shape, dtype=np.complex128)
-    for _ in range(s):
-        np.matmul(f, f, out=spare)
-        f, spare = spare, f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            np.matmul(f, f, out=spare)
+            f, spare = spare, f
+    if not np.isfinite(f).all():
+        raise ArithmeticError(f"matrix exponential overflows: 1-norm {norm:.3g}, {s} squarings")
     return f
 
 

@@ -39,6 +39,7 @@ from .hilbert import (
 from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian, _to_symmetrized
 from .regime import (
     DEFAULT_THRESHOLD,
+    LEVEL_PASS,
     RegimeReport,
     equality_check,
     ratio_check,
@@ -58,15 +59,15 @@ _LEV = {name: i for i, name in enumerate(RAMAN_LEVELS)}
 
 
 def _triple(value, name: str) -> tuple:
-    """Broadcast a scalar to a 3-tuple of floats and validate."""
+    """Broadcast a scalar to a 3-tuple of finite non-negative floats; a
+    ValueError naming ``name`` otherwise."""
     if np.isscalar(value):
         value = (value, value, value)
     out = tuple(float(v) for v in value)
     if len(out) != 3:
         raise ValueError(f"{name} must be a scalar or a 3-tuple, got {value!r}")
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} entries must be finite, got {out!r}")
+    if not all(math.isfinite(v) and v >= 0.0 for v in out):
+        raise ValueError(f"{name} entries must be finite and non-negative, got {out!r}")
     return out
 
 
@@ -92,10 +93,8 @@ class RamanParams:
         object.__setattr__(self, "omega_diag", _triple(self.omega_diag, "omega_diag"))
         object.__setattr__(self, "gamma", _triple(self.gamma, "gamma"))
         set_rates(self, ("g", "kappa", "omega20", "omega21"))
-        if any(d <= 0.0 for d in self.delta):
-            raise ValueError(f"detunings must be positive, got {self.delta!r}")
-        if any(v < 0.0 for v in self.omega_diag) or any(v < 0.0 for v in self.gamma):
-            raise ValueError("omega_diag and gamma entries must be non-negative")
+        if 0.0 in self.delta:
+            raise ValueError(f"delta entries must be positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,8 @@ def build_generator_effective(params: RamanParams, basis: Basis,
     """
     basis.require_scheme("lambda")
     view = effective_lambda_view(params)
-    if not math.isclose(view.omega0_eff, view.omega1_eff, rel_tol=1e-12, abs_tol=0.0):
+    balanced = equality_check("omega0_eff_equals_omega1_eff", view.omega0_eff, view.omega1_eff)
+    if balanced.level != LEVEL_PASS:
         raise ValueError(
             f"effective weak Rabi frequencies differ "
             f"({view.omega0_eff!r} vs {view.omega1_eff!r}); "

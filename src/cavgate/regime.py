@@ -40,6 +40,9 @@ LEVEL_VIOLATION = "violation"
 
 DEFAULT_THRESHOLD = 0.1
 
+# relative difference below which ``equality_check`` counts two rates as equal
+_EQUALITY_RTOL = 1e-12
+
 
 class RegimeWarning(UserWarning):
     """Emitted when a result is produced outside its validity regime."""
@@ -118,13 +121,12 @@ def ratio_check(name: str, numerator: float, denominator: float,
 
 
 def equality_check(name: str, lhs: float, rhs: float,
-                   hard: bool = False, rel_tol: float = 1e-12,
-                   note: str = "") -> RegimeCheck:
+                   hard: bool = False, note: str = "") -> RegimeCheck:
     """Classify an exact-equality condition; mismatch warns or violates."""
     scale = max(abs(lhs), abs(rhs), 1e-300)
     diff = abs(lhs - rhs) / scale
-    if diff <= rel_tol:
-        return RegimeCheck(name, 0.0, rel_tol, LEVEL_PASS)
+    if diff <= _EQUALITY_RTOL:
+        return RegimeCheck(name, 0.0, _EQUALITY_RTOL, LEVEL_PASS)
     level = LEVEL_VIOLATION if hard else LEVEL_WARN
-    return RegimeCheck(name, diff, rel_tol, level,
+    return RegimeCheck(name, diff, _EQUALITY_RTOL, level,
                        note or f"{lhs!r} != {rhs!r}")

@@ -238,6 +238,7 @@ def test_config_file_unknown_key(capsys, tmp_path):
 @pytest.mark.parametrize("key,value", [
     ("spacing", "logg"), ("initial", "xx"),
     ("g", "-1"), ("threshold", "nan"), ("n-outputs", "0"), ("count", "0"),
+    ("relax-window", "maybe"),
 ])
 def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
     cfg = tmp_path / "cfg.txt"
@@ -248,6 +249,46 @@ def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
     )
     assert code == 2
     assert f"bad value for {key!r}" in err
+
+
+def test_config_file_comments_and_false_switch(capsys, tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("# a comment line\nscheme=lambda\nomega0=0.1\ngamma=0.001\nrelax-window=off\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert "relax_window=False" in out.splitlines()[0]
+    (row,) = parse_rows(out)
+    assert row["gamma"] == "0.001"
+
+
+INVALID = [
+    (("run", "--omega0", "0.1"), "", "missing required parameter '--scheme'"),
+    (("scan", "--scheme", "shelving", "--omega-w", "0.02"), "",
+     "scan supports the lambda and raman schemes"),
+    (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0", "--stop", "0.1",
+      "--count", "2", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
+    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0 0.1\n", "expected key=value"),
+    (("run", "--scheme", "raman", "--omega20", "1e-300", "--omega21", "1e-300"), "",
+     "matrix exponential overflows"),
+]
+
+
+@pytest.mark.parametrize("argv,config,message", INVALID, ids=[" ".join(r[0]) for r in INVALID])
+def test_invalid_input_exits_2_with_its_message(capsys, tmp_path, argv, config, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_run_raman_unequal_weak_fields_row(capsys):
+    # the unequal drive is a regime violation, but the run still reports its row
+    code, out, _ = run_cli(capsys, "run", "--scheme", "raman", "--omega20", "0.05", "--omega21", "0.06")
+    assert code == 2
+    (row,) = parse_rows(out)
+    assert row["omega0_or_omega20"] == "0.05;0.06"
 
 
 def test_missing_required_parameter(capsys):
@@ -423,6 +464,19 @@ PINNED = [
      "[     pass] omega0_eff_equals_omega1_eff: ratio=0 threshold=1e-12\n"
      "[     pass] omega_eff_much_less_than_geff2_over_kappa: ratio=0.05 threshold=0.1\n"
      "[     pass] omega_eff_much_less_than_kappa: ratio=0.05 threshold=0.1\n"
+     "[     pass] omega20_much_less_than_omega00: ratio=0.025 threshold=0.1\n"
+     "[     pass] omega21_much_less_than_omega11: ratio=0.025 threshold=0.1\n"
+     "[     warn] g_much_less_than_omega22: ratio=0.5 threshold=0.1\n"
+     "[     pass] equal_ground_shifts: ratio=0 threshold=1e-12\n"
+     "[     pass] equal_ground_shifts_2: ratio=0 threshold=1e-12\n"
+     "[     pass] delta_much_greater_than_other_rates: ratio=0.002 threshold=0.1\n"),
+    (("validate", "--scheme", "raman", "--kappa", "0"), 2,
+     "regime report (raman): 1 warning(s), violation\n"
+     "[     pass] omega0_eff_equals_omega1_eff: ratio=0 threshold=1e-12\n"
+     "[violation] omega_eff_much_less_than_geff2_over_kappa: ratio=inf threshold=0.1 "
+     "(kappa must be positive)\n"
+     "[violation] omega_eff_much_less_than_kappa: ratio=inf threshold=0.1 "
+     "(denominator is not positive)\n"
      "[     pass] omega20_much_less_than_omega00: ratio=0.025 threshold=0.1\n"
      "[     pass] omega21_much_less_than_omega11: ratio=0.025 threshold=0.1\n"
      "[     warn] g_much_less_than_omega22: ratio=0.5 threshold=0.1\n"

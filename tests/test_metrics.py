@@ -159,3 +159,14 @@ def test_gate_run_superposition_input():
     # the ideal output is the Bell state; conditional fidelity stays high
     assert res.fidelity >= 0.99
     assert 0.0 <= res.p0 <= 1.0
+
+
+@pytest.mark.parametrize("weak,message", [
+    # T = 6.3e15: the leaves' 1-norms reach 3.9e13, and u times that is 4e-3
+    (1e-12, "p0 = 1.00115278.* exceeds 1 by more than 1e-09"),
+    # T = 6.3e303: about 1000 squarings overflow
+    (1e-300, "matrix exponential overflows: 1-norm 3.79e\\+301, 1000 squarings"),
+], ids=["p0_above_one", "squarings_overflow"])
+def test_gate_run_refuses_a_result_swamped_by_roundoff(weak, message):
+    with pytest.raises(ArithmeticError, match=message):
+        gate_run("raman", RamanParams(omega20=weak, omega21=weak), E10)

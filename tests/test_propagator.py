@@ -93,6 +93,17 @@ def test_expm_trivial_and_errors():
         expm(np.array([[np.nan, 0], [0, 1.0]]))
 
 
+@pytest.mark.parametrize("a,error,message", [
+    # finite entries whose 1-norm overflows
+    (np.full((2, 2), 1e308), ValueError, "1-norm is inf"),
+    # e^1000 is beyond the largest double: the squarings overflow
+    (np.diag([1000.0]), ArithmeticError, "1-norm 1e\\+03, 8 squarings"),
+], ids=["norm_overflows", "squarings_overflow"])
+def test_expm_refuses_what_it_cannot_represent(a, error, message):
+    with pytest.raises(error, match=message):
+        expm(a)
+
+
 @pytest.mark.parametrize("a", [
     np.diag([-746.0, -746.0, -1e6]),
     # non-normal, mu = max(-1000 + 250, -750) = -750
@@ -319,6 +330,22 @@ def test_refused_split_falls_back_to_the_whole_block(monkeypatch, exponentials):
     # sweep estimates a contraction q = 0.72 >= 1/2, so the split is refused
     monkeypatch.setattr(propagator, "_SEP", 2.0)
     final, whole = _gate_run_and_whole_block(RamanParams(delta=30.0))
+    assert exponentials.expm == [72]
+    assert np.array_equal(final, whole)
+
+
+def test_refused_sylvester_sweep_falls_back_to_the_whole_block(monkeypatch, exponentials):
+    # a gate run's second fixed point is the first split's Y: refusing it
+    # leaves W2 unsplit, after its Riccati sweep has converged
+    real, calls = propagator._fixed_point, []
+
+    def fixed_point(*args):
+        calls.append(args)
+        return None if len(calls) == 2 else real(*args)
+
+    monkeypatch.setattr(propagator, "_fixed_point", fixed_point)
+    final, whole = _gate_run_and_whole_block(RamanParams(omega20=0.05, omega21=0.05))
+    assert len(calls) == 2
     assert exponentials.expm == [72]
     assert np.array_equal(final, whole)
 

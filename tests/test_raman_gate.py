@@ -34,6 +34,16 @@ def test_params_validation():
     assert p.gamma == (0.2, 0.2, 0.2)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("delta", (1.0, 2.0)), ("delta", float("inf")), ("delta", (1.0, 0.0, 1.0)),
+    ("omega_diag", float("nan")), ("omega_diag", -1.0), ("gamma", (0.0, -1.0, 0.0)),
+], ids=["delta-pair", "delta-inf", "delta-zero", "omega_diag-nan", "omega_diag-negative",
+        "gamma-negative"])
+def test_per_state_fields_name_themselves_when_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        RamanParams(**{name: value})
+
+
 def test_ground_configurations_stationary_without_lasers():
     params = RamanParams(omega_diag=0.0, omega20=0.0, omega21=0.0, gamma=0.0)
     basis = build_basis("raman", 1)
