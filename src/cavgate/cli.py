@@ -23,7 +23,7 @@ from .hilbert import QUBIT_CONFIGS, SCHEMES
 from .lambda_gate import LambdaParams, validate_regime_lambda
 from .metrics import DEFAULT_N_MAX, gate_run
 from .propagator import DEFAULT_OUTPUTS
-from .raman_gate import RamanParams, validate_regime_raman
+from .raman_gate import RamanParams, effective_lambda_view, validate_regime_raman
 from .regime import DEFAULT_THRESHOLD
 from .shelving import (
     ShelvingParams,
@@ -164,7 +164,7 @@ _PARAMS = {"lambda": LambdaParams, "raman": RamanParams, "shelving": ShelvingPar
 # CLI defaults that differ from the dataclass defaults, from the fields resolved before them
 _CLI_DEFAULTS = {
     "raman": {"omega21": lambda kw: kw["omega20"],
-              "kappa": lambda kw: abs(kw["omega_diag"][2] / (2.0 * kw["delta"][2]))},  # |g_eff| at g = 1
+              "kappa": lambda kw: abs(effective_lambda_view(RamanParams(**kw)).g_eff)},
     "shelving": {"omega_s": lambda kw: 1.0, "gamma_s": lambda kw: 1.0},
 }
 
@@ -235,36 +235,38 @@ def _load_config_file(path: str, config_keys: dict) -> dict:
     return values
 
 
-class _Settings:
-    """Merged view of command-line flags, config-file values and defaults."""
+def _resolve(args: argparse.Namespace, config_keys: dict) -> tuple:
+    """Every option of ``_OPTIONS``, resolved once: ``(values, sources)``.
 
-    def __init__(self, args: argparse.Namespace, config_keys: dict):
-        self._cli = vars(args)
-        self._file = _load_config_file(args.config, config_keys) if args.config else {}
-
-    def get(self, dest: str, default=None):
-        v = self._cli.get(dest)
-        if v is None:
-            v = self._file.get(dest)
-        return default if v is None else v
-
-    def require(self, dest: str, flag: str):
-        v = self.get(dest)
-        if v is None:
-            raise ValueError(f"missing required parameter {flag!r} for this scheme/command")
-        return v
-
-    def source(self, dest: str) -> str:
-        """Where a value was set: 'flag', 'config file', both, or '' if unset."""
-        return " and ".join(name for name, values in (("flag", self._cli), ("config file", self._file))
-                            if values.get(dest) is not None)
+    A flag overrides the config file, and the file overrides the row's default
+    (the scheme's entry where the default is per scheme; None if unset).
+    ``sources[dest]`` says where each option that was set came from: "flag",
+    "config file", or both.
+    """
+    layers = (("flag", vars(args)),
+              ("config file", _load_config_file(args.config, config_keys) if args.config else {}))
+    values, sources = {}, {}
+    for row in _OPTIONS:
+        given = [(name, layer[row.dest]) for name, layer in layers if layer.get(row.dest) is not None]
+        if given:
+            sources[row.dest] = " and ".join(name for name, _ in given)
+        values[row.dest] = given[0][1] if given else row.default
+    scheme = values["scheme"]  # only a default is a dict, with one entry per scheme
+    return {dest: v.get(scheme) if isinstance(v, dict) else v for dest, v in values.items()}, sources
 
 
-def _swept(s: _Settings, scheme: str) -> tuple:
+def _require(values: dict, dest: str):
+    if values[dest] is None:
+        flag = "--" + dest.replace("_", "-")
+        raise ValueError(f"missing required parameter {flag!r} for this scheme/command")
+    return values[dest]
+
+
+def _swept(values: dict, scheme: str) -> tuple:
     """The dests a scan sets at each point: one broadcast rate, or omega-weak."""
     if scheme == "shelving":
         raise ValueError("scan supports the lambda and raman schemes; use run for shelving")
-    sweep = s.require("sweep", "--sweep")
+    sweep = _require(values, "sweep")
     rates = {row.flag[2:]: (row.dest,) for row in _OPTIONS
              if row.field and row.j is None and scheme in row.schemes}
     if scheme == "raman":
@@ -274,32 +276,24 @@ def _swept(s: _Settings, scheme: str) -> tuple:
     return rates[sweep]
 
 
-def _reject_unused(s: _Settings, command: str, scheme: str) -> None:
+def _reject_unused(values: dict, sources: dict, command: str, scheme: str) -> None:
     """Raise ValueError naming every option set that this run would not read."""
-    swept = _swept(s, scheme) if command == "scan" else ()
+    swept = _swept(values, scheme) if command == "scan" else ()
     stray = [
-        f"{row.flag} ({s.source(row.dest)}{'; --sweep sets it' if row.dest in swept else ''})"
+        f"{row.flag} ({sources[row.dest]}{'; --sweep sets it' if row.dest in swept else ''})"
         for row in _OPTIONS
-        if s.source(row.dest) and (not row.used(command, scheme) or row.dest in swept)
+        if row.dest in sources and (not row.used(command, scheme) or row.dest in swept)
     ]
     if stray:
         raise ValueError(f"{command} --scheme {scheme} does not read " + ", ".join(stray))
 
 
-def _resolve_run_options(s: _Settings, scheme: str) -> dict:
-    """Every run option (a row with a default): flag, else file, else default."""
-    return {
-        row.dest: s.get(row.dest, row.default.get(scheme) if isinstance(row.default, dict) else row.default)
-        for row in _OPTIONS if row.default is not None
-    }
-
-
-def _build_params(scheme: str, get):
-    """The scheme's parameter dataclass from ``get(dest)``, None where unset."""
+def _build_params(scheme: str, values: dict):
+    """The scheme's parameter dataclass from the resolved ``values``."""
     cls, cli_defaults = _PARAMS[scheme], _CLI_DEFAULTS.get(scheme, {})
     kw = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in cli_defaults}
     for row in (r for r in _OPTIONS if r.field and scheme in r.schemes):
-        value = get(row.dest)
+        value = values[row.dest]
         if value is not None and row.j is not None:  # one entry of the triple its broadcast row set
             kw[row.field] = kw[row.field][:row.j] + (value,) + kw[row.field][row.j + 1:]
         elif value is not None:
@@ -319,7 +313,7 @@ def _join_per_j(vals: tuple, gs: float) -> str:
     return ";".join(_fmt(v) for v in scaled)
 
 
-def _echo_line(command: str, scheme: str, params, opts: dict, extra: dict) -> str:
+def _echo_line(command: str, scheme: str, params, values: dict, extra: dict) -> str:
     """The ``# params:`` line: every rate and run option the run reads."""
     pairs = [("scheme", scheme)]
     for row in _OPTIONS:
@@ -327,19 +321,13 @@ def _echo_line(command: str, scheme: str, params, opts: dict, extra: dict) -> st
             value = getattr(params, row.field)
             pairs.append((row.dest, ";".join(map(_fmt, value)) if isinstance(value, tuple) else value))
         elif row.default is not None and row.used(command, scheme):
-            pairs.append((row.dest, opts[row.dest]))
+            pairs.append((row.dest, values[row.dest]))
     pairs += extra.items()
     return "# params: " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
-def _initial_vector(label: str) -> np.ndarray:
-    v = np.zeros(4, dtype=np.complex128)
-    v[QUBIT_CONFIGS.index(label)] = 1.0
-    return v
-
-
-def _gate_row(scheme: str, params, result, opts: dict) -> list:
-    gs = opts["g"]
+def _gate_row(scheme: str, params, result, values: dict) -> list:
+    gs = values["g"]
     if scheme == "lambda":
         weak, gamma, delta, strong = params.omega0 * gs, params.gamma * gs, None, None
     else:
@@ -348,13 +336,13 @@ def _gate_row(scheme: str, params, result, opts: dict) -> list:
                                 for v in (params.gamma, params.delta, params.omega_diag))
     return [
         scheme, _fmt(weak), _fmt(params.kappa * gs), _fmt(gamma), _fmt(gs), _fmt(delta), _fmt(strong),
-        str(opts["n_max"]), _fmt(result.gate_time / gs), _fmt(result.p0),
+        str(values["n_max"]), _fmt(result.gate_time / gs), _fmt(result.p0),
         _fmt(result.fidelity), _fmt(result.fidelity_unconditional),
     ]
 
 
-def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, opts: dict) -> list:
-    gs = opts["g"]
+def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, values: dict) -> list:
+    gs = values["g"]
     return [
         "shelving", _fmt(params.omega_w * gs), "", _fmt(params.gamma_s * gs),
         _fmt(gs), "", _fmt(params.omega_s * gs), "", _fmt(tmax / gs),
@@ -362,19 +350,16 @@ def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, opts: di
     ]
 
 
-def _emit_csv(lines: list, output: str | None) -> None:
+def _emit_csv(lines: list, output: str | None, before: tuple = ()) -> None:
+    """Write ``lines`` to ``output``, then print ``before`` and ``lines``.
+
+    The file comes first, so that an unwritable path exits 2 with nothing on stdout.
+    """
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _run_one_gate(scheme: str, params, opts: dict):
-    return gate_run(
-        scheme, params, _initial_vector(opts["initial"]),
-        n_max=opts["n_max"], relax_window=opts["relax_window"],
-    )
+    sys.stdout.write("".join(line + "\n" for line in before) + text)
 
 
 def _validate(scheme: str, params, threshold: float):
@@ -385,49 +370,49 @@ def _validate(scheme: str, params, threshold: float):
     return validate_regime_shelving(params, threshold)
 
 
-def cmd_run(s: _Settings, scheme: str, opts: dict) -> int:
-    params = _build_params(scheme, s.get)
-    report = _validate(scheme, params, opts["threshold"])
+def _gate(scheme: str, point: dict) -> tuple:
+    """``(params, result, report)`` of one gate run at a resolved point."""
+    params = _build_params(scheme, point)
+    report = _validate(scheme, params, point["threshold"])
+    initial = np.zeros(4, dtype=np.complex128)
+    initial[QUBIT_CONFIGS.index(point["initial"])] = 1.0
+    result = gate_run(scheme, params, initial, n_max=point["n_max"], relax_window=point["relax_window"])
+    return params, result, report
 
-    if scheme == "shelving":
-        td = dark_time(params)
-        tmax = s.get("tmax", 2.0 * td)
-        ts = np.linspace(0.0, tmax, opts["n_outputs"] + 1)
-        p0s = survival_probability(params, ts)
-        fitted = fit_dark_time(params)
-        gs = opts["g"]
-        print(_echo_line("run", scheme, params, opts, {"tmax": tmax}))
-        print(f"dark_time_estimate={_fmt(td / gs)}")
-        print(f"fitted_dark_time={_fmt(fitted / gs)}")
-        print(f"p0_final={_fmt(float(p0s[-1]))}")
-        samples_out = s.get("samples_out")
-        if samples_out:
-            with open(samples_out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("t,p0\n")
-                for t, p in zip(ts, p0s):
-                    fh.write(f"{_fmt(t / gs)},{_fmt(float(p))}\n")
-        _emit_csv([",".join(CSV_COLUMNS),
-                   ",".join(_shelving_row(params, tmax, float(p0s[-1]), opts))],
-                  s.get("output"))
+
+def cmd_run(values: dict, scheme: str) -> int:
+    if scheme != "shelving":
+        params, result, report = _gate(scheme, values)
+        _emit_csv([_echo_line("run", scheme, params, values, {}), ",".join(CSV_COLUMNS),
+                   ",".join(_gate_row(scheme, params, result, values))], values["output"])
+        for line in report.lines():
+            print(line, file=sys.stderr)
         return report.exit_code
 
-    result = _run_one_gate(scheme, params, opts)
-    lines = [
-        _echo_line("run", scheme, params, opts, {}),
-        ",".join(CSV_COLUMNS),
-        ",".join(_gate_row(scheme, params, result, opts)),
-    ]
-    _emit_csv(lines, s.get("output"))
-    for line in report.lines():
-        print(line, file=sys.stderr)
+    params = _build_params(scheme, values)
+    report = _validate(scheme, params, values["threshold"])
+    td = dark_time(params)
+    tmax = values["tmax"] or 2.0 * td
+    ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
+    p0s = survival_probability(params, ts)
+    fitted = fit_dark_time(params)
+    gs = values["g"]
+    if values["samples_out"]:
+        with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
+            fh.write("t,p0\n")
+            for t, p in zip(ts, p0s):
+                fh.write(f"{_fmt(t / gs)},{_fmt(float(p))}\n")
+    _emit_csv([",".join(CSV_COLUMNS), ",".join(_shelving_row(params, tmax, float(p0s[-1]), values))],
+              values["output"],
+              (_echo_line("run", scheme, params, values, {"tmax": tmax}),
+               f"dark_time_estimate={_fmt(td / gs)}",
+               f"fitted_dark_time={_fmt(fitted / gs)}",
+               f"p0_final={_fmt(float(p0s[-1]))}"))
     return report.exit_code
 
 
-def _sweep_values(s: _Settings) -> np.ndarray:
-    start = float(s.require("start", "--start"))
-    stop = float(s.require("stop", "--stop"))
-    count = int(s.require("count", "--count"))
-    spacing = s.get("spacing", "linear")
+def _sweep_values(values: dict, spacing: str) -> np.ndarray:
+    start, stop, count = (_require(values, dest) for dest in ("start", "stop", "count"))
     if count == 1:
         return np.array([start])
     if spacing == "log":
@@ -437,56 +422,48 @@ def _sweep_values(s: _Settings) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def cmd_scan(s: _Settings, scheme: str, opts: dict) -> int:
-    swept = _swept(s, scheme)
-    points = _sweep_values(s)
-
-    def run_point(value: float):
-        params = _build_params(scheme, lambda dest: value if dest in swept else s.get(dest))
-        report = _validate(scheme, params, opts["threshold"])
-        result = _run_one_gate(scheme, params, opts)
-        return params, result, report
-
-    outcomes = [run_point(float(v)) for v in points]
-
+def cmd_scan(values: dict, scheme: str) -> int:
+    swept = _swept(values, scheme)
+    spacing = values["spacing"] or "linear"
+    points = _sweep_values(values, spacing)
+    outcomes = [_gate(scheme, {**values, **dict.fromkeys(swept, v)}) for v in points.tolist()]
     sweep_echo = {
-        "sweep": s.get("sweep"), "start": points[0], "stop": points[-1],
-        "count": len(points), "spacing": s.get("spacing", "linear"),
+        "sweep": values["sweep"], "start": points[0], "stop": points[-1],
+        "count": len(points), "spacing": spacing,
     }
     lines = [
-        _echo_line("scan", scheme, outcomes[0][0], opts, sweep_echo),
+        _echo_line("scan", scheme, outcomes[0][0], values, sweep_echo),
         ",".join(CSV_COLUMNS),
     ]
-    lines += [",".join(_gate_row(scheme, params, result, opts))
+    lines += [",".join(_gate_row(scheme, params, result, values))
               for params, result, _ in outcomes]
-    _emit_csv(lines, s.get("output"))
+    _emit_csv(lines, values["output"])
     return max(report.exit_code for _, _, report in outcomes)
 
 
-def cmd_validate(s: _Settings, scheme: str, opts: dict) -> int:
-    params = _build_params(scheme, s.get)
-    report = _validate(scheme, params, opts["threshold"])
+def cmd_validate(values: dict, scheme: str) -> int:
+    report = _validate(scheme, _build_params(scheme, values), values["threshold"])
     for line in report.lines():
         print(line)
     return report.exit_code
 
 
-def cmd_converge(s: _Settings, scheme: str, opts: dict) -> int:
-    params = _build_params(scheme, s.get)
-    report = _validate(scheme, params, opts["threshold"])
-
+def cmd_converge(values: dict, scheme: str) -> int:
     if scheme == "shelving":
         # the shelving model has no photon cutoff, so only the fit refines
+        params = _build_params(scheme, values)
+        report = _validate(scheme, params, values["threshold"])
         rows = [
             ("fitted_dark_time fit_points -> 2x", fit_dark_time(params),
              fit_dark_time(params, n_points=400)),
         ]
     else:
-        base = _run_one_gate(scheme, params, opts)
-        finer_n = _run_one_gate(scheme, params, {**opts, "n_max": opts["n_max"] + 1})
+        n = values["n_max"]
+        (_, base, report), (_, finer_n, _) = (_gate(scheme, point)
+                                              for point in (values, {**values, "n_max": n + 1}))
         rows = [
-            (f"p0 n_max {opts['n_max']} -> {opts['n_max'] + 1}", base.p0, finer_n.p0),
-            (f"fidelity n_max {opts['n_max']} -> {opts['n_max'] + 1}", base.fidelity, finer_n.fidelity),
+            (f"p0 n_max {n} -> {n + 1}", base.p0, finer_n.p0),
+            (f"fidelity n_max {n} -> {n + 1}", base.fidelity, finer_n.fidelity),
         ]
 
     print(f"{'quantity':<38} {'base':<24} {'refined':<24} |delta|")
@@ -499,11 +476,11 @@ def main(argv=None) -> int:
     parser, config_keys = _build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _Settings(args, config_keys)
-        scheme = settings.require("scheme", "--scheme")
-        _reject_unused(settings, args.command, scheme)
+        values, sources = _resolve(args, config_keys)
+        scheme = _require(values, "scheme")
+        _reject_unused(values, sources, args.command, scheme)
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
-        return handler[args.command](settings, scheme, _resolve_run_options(settings, scheme))
+        return handler[args.command](values, scheme)
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,6 +95,7 @@ CNOT_MATRIX = np.array(
      [0, 0, 1, 0]],
     dtype=np.complex128,
 )
+CNOT_MATRIX.flags.writeable = False  # every fidelity in the process reads it
 
 #: Labels spanning the decoherence-free subspace of the lambda scheme.
 DFS_LABELS = ((0, "00"), (0, "01"), (0, "10"), (0, "11"), (0, "a"))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cavgate
 from cavgate.cli import COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
 
 
@@ -261,6 +267,7 @@ def test_config_file_comments_and_false_switch(capsys, tmp_path):
     assert row["gamma"] == "0.001"
 
 
+SWEEP = ("--sweep", "omega0", "--start", "0.05", "--stop", "0.1", "--count", "2")
 INVALID = [
     (("run", "--omega0", "0.1"), "", "missing required parameter '--scheme'"),
     (("scan", "--scheme", "shelving", "--omega-w", "0.02"), "",
@@ -270,6 +277,10 @@ INVALID = [
     (("run", "--config", "{cfg}"), "scheme=lambda\nomega0 0.1\n", "expected key=value"),
     (("run", "--scheme", "raman", "--omega20", "1e-300", "--omega21", "1e-300"), "",
      "matrix exponential overflows"),
+    *((("scan", "--scheme", "lambda", *SWEEP[:i], *SWEEP[i + 2:]), "",
+       f"missing required parameter {SWEEP[i]!r}") for i in range(0, len(SWEEP), 2)),
+    (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
+    (("validate", "--scheme", "raman", "--delta", "0"), "", "delta entries must be positive"),
 ]
 
 
@@ -364,6 +375,32 @@ def test_option_the_run_would_not_read_exits_2(capsys, tmp_path, argv, config, n
     for text in named:
         assert text in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", *LAMBDA, "--output"),
+    (*SCAN, "--output"),
+    ("run", *SHELVING, "--output"),
+    ("run", *SHELVING, "--samples-out"),
+], ids=" ".join)
+def test_unwritable_path_exits_2_with_nothing_on_stdout(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing_dir" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    assert "missing_dir" in err
+
+
+@pytest.mark.parametrize("config,flags,echoed", [
+    ("n-max=2\nthreshold=0.2\n", ("--n-max", "3"), "n_max=3 relax_window=False threshold=0.2"),
+    ("n-max=2\nthreshold=0.2\n", (), "n_max=2 relax_window=False threshold=0.2"),
+    ("", (), "n_max=3 relax_window=False threshold=0.1"),
+], ids=["flag", "file", "default"])
+def test_run_option_flag_overrides_file_overrides_default(capsys, tmp_path, config, flags, echoed):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    code, out, _ = run_cli(capsys, "run", *LAMBDA, "--config", str(cfg), *flags)
+    assert code == 0
+    assert f" {echoed} " in out.splitlines()[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -512,3 +549,13 @@ def test_valid_command_lines_echo_byte_identically(capsys, tmp_path, argv, code,
         assert [ln[:38].rstrip() for ln in lines[1:]] == rows
     if "--samples-out" in argv:
         assert samples.read_text() == SAMPLES
+
+
+def test_importing_the_cli_needs_only_numpy():
+    # the package depends on numpy alone; scipy, mpmath and hypothesis serve the tests and references
+    probe = ("import sys, cavgate.cli; "
+             "print(*sorted({'scipy', 'mpmath', 'numba', 'hypothesis'} & set(sys.modules)))")
+    src = str(Path(cavgate.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""

@@ -42,6 +42,12 @@ def test_cnot_unitarity():
     assert np.linalg.det(CNOT_MATRIX).real == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_cnot_matrix_is_read_only():
+    # every fidelity in the process scores against it; the write keeps its value
+    with pytest.raises(ValueError):
+        CNOT_MATRIX[2, 3] = 1.0
+
+
 def test_embed_qubit_state():
     basis = build_basis("raman", 1)
     s = embed_qubit_state(basis, (E00 + 1j * E11) / np.sqrt(2))
