@@ -34,7 +34,6 @@ from .metrics import (
     CNOT_MATRIX,
     GateResult,
     cnot_target,
-    cnot_unitarity_check,
     conditional_fidelity,
     embed_qubit_state,
     gate_run,

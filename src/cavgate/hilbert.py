@@ -17,9 +17,9 @@ Three level schemes are supported:
 
 Units: hbar = 1 and every rate is expressed in units of the atom-cavity
 coupling g, so g = 1 unless stated otherwise.  Basis ordering is photon-
-number major with a fixed configuration order inside each photon sector,
-so serialized states are portable.  ``CNOT_MATRIX`` is the target gate
-over ``QUBIT_CONFIGS``, the zero-photon qubit states of lambda and raman.
+number major with a fixed configuration order inside each photon sector.
+``CNOT_MATRIX`` is the target gate over ``QUBIT_CONFIGS``, the zero-photon
+qubit states of lambda and raman.
 
 Generators are assembled from constant operator terms, one per rate, kept
 as their nonzero entries (``sparse_term``) and scaled and summed by
@@ -29,7 +29,6 @@ as their nonzero entries (``sparse_term``) and scaled and summed by
 from __future__ import annotations
 
 import functools
-import io
 import math
 import operator
 from dataclasses import dataclass, field
@@ -182,10 +181,6 @@ class Basis:
                 f"{self.scheme} basis with n_max={self.n_max}"
             ) from None
 
-    def label(self, i: int) -> tuple:
-        """(n, config) label stored at index i."""
-        return self.labels[i]
-
     def require_scheme(self, scheme: str) -> None:
         if self.scheme != scheme:
             raise SchemeMismatchError(f"expected a {scheme!r} basis, got {self.scheme!r}")
@@ -248,24 +243,6 @@ class StateVector:
             raise ValueError("cannot take the overlap of states over different bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_csv(self) -> str:
-        """Serialize as CSV rows ``n,config,re,im`` (one row per label)."""
-        buf = io.StringIO()
-        buf.write("n,config,re,im\n")
-        for (n, c), amp in zip(self.basis.labels, self.amplitudes):
-            buf.write(f"{n},{c},{float(amp.real)!r},{float(amp.imag)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, basis: Basis, text: str) -> "StateVector":
-        """Parse the output of :meth:`to_csv` over the given basis."""
-        amps = np.zeros(basis.dim, dtype=np.complex128)
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        for ln in lines[1:]:
-            n, config, re, im = ln.split(",")
-            amps[basis.index(int(n), config)] = float(re) + 1j * float(im)
-        return cls(basis, amps)
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -280,11 +257,6 @@ class Operator:
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}")
         object.__setattr__(self, "matrix", m)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.basis != self.basis:
-            raise ValueError("operator and state are defined over different bases")
-        return StateVector(self.basis, self.matrix @ state.amplitudes)
 
 
 class ConditionalGenerator(Operator):

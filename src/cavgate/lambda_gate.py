@@ -226,8 +226,8 @@ def effective_dfs_evolution(initial, params: LambdaParams, t: float,
     damping constants (EffectiveRates(0, 0) gives the ideal pulse: an
     exact exchange of the driven pair after t = 2 pi / omega0).
     """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    if not math.isfinite(t) or t < 0.0:
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     v = np.asarray(initial, dtype=np.complex128)
     if v.shape != (5,):
         raise ValueError(f"expected 5 decoherence-free amplitudes, got shape {v.shape}")

@@ -33,7 +33,6 @@ __all__ = [
     "CNOT_MATRIX",
     "DEFAULT_N_MAX",
     "cnot_target",
-    "cnot_unitarity_check",
     "embed_qubit_state",
     "conditional_fidelity",
     "GateResult",
@@ -54,17 +53,6 @@ _P0_SLACK = 1e-9
 def cnot_target(psi) -> np.ndarray:
     """Ideal CNOT image of a unit-norm qubit state (control first)."""
     return CNOT_MATRIX @ qubit_state(psi)
-
-
-def cnot_unitarity_check() -> bool:
-    """True when the CNOT matrix is Hermitian, unitary and an involution."""
-    u = CNOT_MATRIX
-    eye = np.eye(4)
-    return (
-        np.allclose(u @ u, eye, atol=1e-15)
-        and np.allclose(u, u.conj().T, atol=1e-15)
-        and np.allclose(u @ u.conj().T, eye, atol=1e-15)
-    )
 
 
 def embed_qubit_state(basis: Basis, psi) -> StateVector:

@@ -124,10 +124,10 @@ def effective_lambda_view(params: RamanParams) -> EffectiveLambdaView:
         omega0_eff=-params.omega20 * o00 / (2.0 * d0),
         omega1_eff=-params.omega21 * o11 / (2.0 * d1),
         g_eff=-params.g * o22 / (2.0 * d2),
-        cavity_shift=params.g ** 2 / d2,
-        ground_shift=(o00 ** 2 / (4.0 * d0), o11 ** 2 / (4.0 * d1), o22 ** 2 / (4.0 * d2)),
-        weak_shift_atom1=params.omega21 ** 2 / (4.0 * d1),
-        weak_shift_atom2=params.omega20 ** 2 / (4.0 * d0),
+        cavity_shift=params.g * params.g / d2,
+        ground_shift=(o00 * o00 / (4.0 * d0), o11 * o11 / (4.0 * d1), o22 * o22 / (4.0 * d2)),
+        weak_shift_atom1=params.omega21 * params.omega21 / (4.0 * d1),
+        weak_shift_atom2=params.omega20 * params.omega20 / (4.0 * d0),
     )
 
 
@@ -264,7 +264,7 @@ def validate_regime_raman(params: RamanParams,
     else:
         checks.append(ratio_check(
             "omega_eff_much_less_than_geff2_over_kappa",
-            abs(view.omega0_eff) * params.kappa, view.g_eff ** 2, threshold,
+            abs(view.omega0_eff) * params.kappa, view.g_eff * view.g_eff, threshold,
             hard_denominator=True))
     checks += [
         ratio_check("omega_eff_much_less_than_kappa",
@@ -274,10 +274,10 @@ def validate_regime_raman(params: RamanParams,
         ratio_check("omega21_much_less_than_omega11", params.omega21, o11, threshold),
         ratio_check("g_much_less_than_omega22", params.g, o22, threshold),
         equality_check("equal_ground_shifts",
-                       o00 ** 2 / d0, o11 ** 2 / d1,
+                       o00 * o00 / d0, o11 * o11 / d1,
                        note="omega_00^2/delta_0 != omega_11^2/delta_1"),
         equality_check("equal_ground_shifts_2",
-                       o11 ** 2 / d1, o22 ** 2 / d2,
+                       o11 * o11 / d1, o22 * o22 / d2,
                        note="omega_11^2/delta_1 != omega_22^2/delta_2"),
         ratio_check("delta_much_greater_than_other_rates",
                     max(params.g, params.kappa, o00, o11, o22,

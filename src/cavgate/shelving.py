@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis, set_rates
+from .hilbert import Basis, ConditionalGenerator, as_integer, basis_state, build_basis, set_rates
 from .propagator import plan, propagate
 from .regime import (
     DEFAULT_THRESHOLD,
@@ -105,6 +105,7 @@ def fit_dark_time(params: ShelvingParams, n_points: int = 200) -> float:
     n_points // 20 on (from T_dark/10 when 20 divides n_points) give the
     returned -1/slope of a least-squares line through log P0(t).
     """
+    n_points = as_integer("n_points", n_points)
     if n_points < 2:
         raise ValueError(f"a fit needs n_points >= 2, got {n_points!r}")
     td = dark_time(params)

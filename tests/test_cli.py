@@ -187,6 +187,17 @@ def test_validate_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,code,check,level", [
+    ("--omega00", 2, "omega0_eff_equals_omega1_eff", "violation"),
+    ("--omega22", 1, "equal_ground_shifts_2", "warn"),
+])
+def test_validate_raman_strong_field_whose_square_overflows(capsys, flag, code, check, level):
+    # omega_jj^2 / delta_j is inf: the report still names the condition it breaks
+    got, out, err = run_cli(capsys, "validate", "--scheme", "raman", flag, "1e200", "--kappa", "1")
+    assert (got, err) == (code, "")
+    assert f"[{level:>9}] {check}:" in out
+
+
 def test_converge_lambda(capsys):
     code, out, _ = run_cli(capsys, "converge", "--scheme", "lambda", "--omega0", "0.1")
     assert code == 0
@@ -281,6 +292,7 @@ INVALID = [
        f"missing required parameter {SWEEP[i]!r}") for i in range(0, len(SWEEP), 2)),
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
     (("validate", "--scheme", "raman", "--delta", "0"), "", "delta entries must be positive"),
+    (("run", "--scheme", "raman", "--omega22", "1e200"), "", "matrix exponential overflows"),
 ]
 
 

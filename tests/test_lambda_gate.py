@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -128,6 +130,12 @@ def test_effective_dfs_evolution_conserved_components():
         assert out[1] == pytest.approx(1.0, abs=1e-15)
         out2 = effective_dfs_evolution([1, 0, 0, 0, 0], params, t)
         assert out2[0] == pytest.approx(np.exp(-4 * r.k1 * t), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_effective_dfs_evolution_rejects_an_unusable_time(t):
+    with pytest.raises(ValueError, match="^t must be"):
+        effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), t)
 
 
 def test_first_order_gate_matrix():

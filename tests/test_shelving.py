@@ -99,6 +99,13 @@ def test_fit_dark_time_needs_two_points(n_points):
         fit_dark_time(ShelvingParams(0.02, 1.0, 1.0), n_points)
 
 
+def test_fit_dark_time_takes_an_integral_count():
+    params = ShelvingParams(0.02, 1.0, 1.0)
+    with pytest.raises(ValueError, match="n_points"):
+        fit_dark_time(params, 2.5)
+    assert fit_dark_time(params, 2.0) == fit_dark_time(params, 2)
+
+
 def test_fitted_dark_time_scalings():
     base = fit_dark_time(ShelvingParams(0.02, 1.0, 1.0))
     double_w = fit_dark_time(ShelvingParams(0.04, 1.0, 1.0))
