@@ -182,24 +182,19 @@ def _build_parser() -> tuple:
         description="Conditional no-emission gate dynamics for atoms in a lossy cavity.",
     )
     parser.add_argument("--version", action="version", version=f"cavgate {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("command", choices=COMMANDS, help="; ".join(
+        f"{command}: {text}" for command, text in zip(COMMANDS, (
+            "single gate run (or shelving survival run)",
+            "sweep one lambda or raman rate, one CSV row per point",
+            "print the regime report and exit accordingly",
+            "report n_max -> n_max+1 deltas"))))
+    config_keys = {}
     for row in _OPTIONS:
         where = (", ".join(row.schemes) if row.schemes != SCHEMES else "all schemes",
                  ", ".join(row.commands) if row.commands != COMMANDS else "all commands")
-        common.add_argument(row.flag, help=f"{row.help} [{'; '.join(where)}]", **row.kwargs)
-    for command, text in zip(COMMANDS, ("single gate run (or shelving survival run)",
-                                        "sweep one lambda or raman rate, one CSV row per point",
-                                        "print the regime report and exit accordingly",
-                                        "report n_max -> n_max+1 deltas")):
-        sub.add_parser(command, parents=[common], help=text)
-    config_keys = {
-        opt[2:]: action
-        for action in common._actions
-        for opt in action.option_strings
-        if opt != "--config"
-    }
+        config_keys[row.flag[2:]] = parser.add_argument(
+            row.flag, help=f"{row.help} [{'; '.join(where)}]", **row.kwargs)
+    del config_keys["config"]
     return parser, config_keys
 
 
@@ -484,7 +479,3 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -196,9 +196,12 @@ def effective_rates(params: LambdaParams) -> EffectiveRates:
             "effective rates require kappa > 0 and g > 0 (regime violation: "
             "the dissipative gate mechanism needs a leaky cavity)"
         )
-    om2 = params.omega ** 2
-    k1 = om2 * params.kappa / (16.0 * params.g ** 2)
+    om2 = params.omega * params.omega
+    k1 = om2 * params.kappa / (16.0 * params.g * params.g)
     k2 = k1 + om2 / (2.0 * params.kappa) + params.gamma / 2.0
+    if not math.isfinite(k2):  # k2 >= k1 >= 0, so k1 is finite too
+        raise ValueError(f"effective rates k1, k2 overflow at omega0={params.omega0!r}, "
+                         f"kappa={params.kappa!r}, g={params.g!r}")
     return EffectiveRates(k1=k1, k2=k2)
 
 
@@ -298,7 +301,7 @@ def validate_regime_lambda(params: LambdaParams,
     else:
         checks.append(ratio_check(
             "omega_much_less_than_g2_over_kappa",
-            om * params.kappa, params.g ** 2, threshold))
+            om * params.kappa, params.g * params.g, threshold))
     checks.append(ratio_check("omega_much_less_than_kappa", om, params.kappa,
                               threshold, hard_denominator=True))
     return RegimeReport(scheme="lambda", checks=tuple(checks))

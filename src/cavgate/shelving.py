@@ -11,6 +11,7 @@ gate schemes.  Both drives are taken resonant.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,11 +67,16 @@ def build_generator_shelving(params: ShelvingParams, basis: Basis | None = None)
 def dark_time(params: ShelvingParams) -> float:
     """Order-of-magnitude estimate of the mean time to the first emission.
 
-    T_dark = omega_s^2 / (omega_w^2 gamma_s).
+    T_dark = omega_s^2 / (omega_w^2 gamma_s); a ValueError naming the three
+    rates is raised unless it is finite and positive.
     """
-    if params.omega_w <= 0.0 or params.gamma_s <= 0.0:
-        raise ValueError("dark time requires omega_w > 0 and gamma_s > 0")
-    return params.omega_s ** 2 / (params.omega_w ** 2 * params.gamma_s)
+    w, s, g = params.omega_w, params.omega_s, params.gamma_s
+    denominator = w * w * g
+    td = s * s / denominator if denominator > 0.0 else math.inf
+    if not (0.0 < td < math.inf):
+        raise ValueError(f"dark time omega_s^2/(omega_w^2 gamma_s) must be finite and positive, "
+                         f"got omega_w={w!r}, omega_s={s!r}, gamma_s={g!r}")
+    return td
 
 
 def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
@@ -133,7 +139,7 @@ def validate_regime_shelving(params: ShelvingParams,
     else:
         checks.append(ratio_check(
             "omega_w_much_less_than_omega_s2_over_gamma_s",
-            params.omega_w * params.gamma_s, params.omega_s ** 2, threshold))
+            params.omega_w * params.gamma_s, params.omega_s * params.omega_s, threshold))
     checks.append(ratio_check(
         "omega_w_much_less_than_gamma_s",
         params.omega_w, params.gamma_s, threshold, hard_denominator=True))

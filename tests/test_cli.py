@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavgate
-from cavgate.cli import COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
+from cavgate.cli import _OPTIONS, COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +198,33 @@ def test_validate_raman_strong_field_whose_square_overflows(capsys, flag, code, 
     assert (got, err) == (code, "")
     assert f"[{level:>9}] {check}:" in out
 
+
+
+DARK_TIME_NOT_FINITE = [
+    ("run", "--omega-w", "0.02", "--omega-s", "1e200"),
+    ("run", "--omega-w", "1e-200"),
+    ("converge", "--omega-w", "1e-200"),
+    ("run", "--omega-w", "0.02", "--omega-s", "0"),
+    ("run", "--omega-w", "0.02", "--gamma-s", "1e-320"),
+]
+
+
+@pytest.mark.parametrize("argv", DARK_TIME_NOT_FINITE, ids=" ".join)
+def test_shelving_dark_time_not_finite_and_positive_names_the_rates(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--scheme", "shelving", *argv[1:])
+    rates = {"omega_s": 1.0, "gamma_s": 1.0,
+             **{flag[2:].replace("-", "_"): float(v) for flag, v in zip(argv[1::2], argv[2::2])}}
+    assert (code, out) == (2, "")
+    assert err == ("error: dark time omega_s^2/(omega_w^2 gamma_s) must be finite and positive, got "
+                   + ", ".join(f"{k}={rates[k]!r}" for k in ("omega_w", "omega_s", "gamma_s")) + "\n")
+
+
+def test_validate_shelving_strong_drive_whose_square_overflows(capsys):
+    # omega_s^2 is inf, so omega_w << omega_s^2/gamma_s holds with ratio 0
+    code, out, err = run_cli(capsys, "validate", "--scheme", "shelving", "--omega-w", "0.02",
+                             "--omega-s", "1e200")
+    assert (code, err) == (0, "")
+    assert "[     pass] omega_w_much_less_than_omega_s2_over_gamma_s: ratio=0 " in out
 
 def test_converge_lambda(capsys):
     code, out, _ = run_cli(capsys, "converge", "--scheme", "lambda", "--omega0", "0.1")
@@ -461,6 +489,20 @@ def test_help_names_schemes_and_commands_of_every_option():
         assert config_keys[key].help.endswith("[raman; all commands]")
     assert config_keys["tmax"].help.endswith("[shelving; run]")
 
+
+
+def test_help_names_every_command_and_option(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    words = set(re.split(r"[\s\[\]{},:]+", out))
+    assert set(COMMANDS) | {row.flag for row in _OPTIONS} <= words
+    assert run_cli(capsys, "run", "--help") == (0, out, "")
+
+
+def test_flag_before_the_command_runs_as_after_it(capsys):
+    after = run_cli(capsys, "run", "--scheme", "lambda", "--omega0", "0.1")
+    assert after[0] == 0
+    assert run_cli(capsys, "--scheme", "lambda", "run", "--omega0", "0.1")[:2] == after[:2]
 
 CONVERGE_HEADER = "quantity                               base                     refined                  |delta|"
 GATE_ROWS = ("p0 n_max {n} -> {m}", "fidelity n_max {n} -> {m}")
