@@ -369,10 +369,7 @@ def assemble(dim: int, coefficients, terms) -> np.ndarray:
     entry receives its contributions in term order: the result is bitwise
     equal to accumulating the dense products c_k * A_k in that order.
     """
-    # filled rather than np.zeros: on lazily zeroed pages the scattered
-    # adds below ran measurably slower
-    h = np.empty(dim * dim, dtype=np.complex128)
-    h.fill(0.0)
+    h = np.zeros(dim * dim, dtype=np.complex128)
     for c, (flat, values) in zip(coefficients, terms, strict=True):
         h[flat] += c * values
     return h.reshape(dim, dim)

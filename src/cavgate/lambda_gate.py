@@ -183,10 +183,14 @@ def laser_coupling(basis: Basis, omega0: float) -> Operator:
 
 
 def pulse_duration(params: LambdaParams) -> float:
-    """Gate pulse length T = 2 pi / omega0."""
+    """Gate pulse length T = 2 pi / omega0; a ValueError naming omega0 is
+    raised unless it is finite."""
     if params.omega0 <= 0.0:
         raise ValueError("pulse duration is undefined for omega0 = 0")
-    return 2.0 * math.pi / params.omega0
+    t = 2.0 * math.pi / params.omega0
+    if not math.isfinite(t):
+        raise ValueError(f"pulse length 2 pi/omega0 is not finite at omega0={params.omega0!r}")
+    return t
 
 
 def effective_rates(params: LambdaParams) -> EffectiveRates:

@@ -28,6 +28,12 @@ entry of e^A is below e^mu(A) < 2^-1075, half the smallest subnormal, so
 zero is its correctly rounded value.  With atomic decay the excited Raman
 clusters of a gate pulse end there: at delta = 1000, gamma >= 0.1 and
 omega20 = omega21 in [0.01, 0.1] both do, with mu T from -3e3 to -3.1e5.
+
+The squarings of each exponential carry roundoff up to u |G t|_1, u being
+the unit roundoff, and nothing after them can remove it.  ``propagate``
+therefore raises ArithmeticError for a leaf where that exceeds 1e-6 (tiny
+drives, whose pulse lengths make |G t|_1 huge), unless its exponential is
+the exact zero of an underflow.
 """
 
 from __future__ import annotations
@@ -75,32 +81,33 @@ _SEP = 8.0
 _SWEEPS = 30
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+# largest roundoff u |G t|_1 a propagation may carry: the p0 accuracy that
+# DEFAULT_N_MAX is chosen for
+_ROUNDOFF_BOUND = 1e-6
+
 
 def _pade13_uv(a: np.ndarray) -> tuple:
-    """Degree-13 U and V, with every sum accumulated in place.
-
-    U = a (a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + b5 a4 + b3 a2 + b1 I) and
-    V = a6 (b12 a6 + b10 a4 + b8 a2) + b6 a6 + b4 a4 + b2 a2 + b0 I, each
-    sum taken left to right as written: the same operations, in the same
-    order, as the out-of-place expressions, through one scratch matrix.
-    """
+    """Degree-13 U and V, each sum taken left to right as written."""
     b = _PADE13
+    ident = np.eye(a.shape[0], dtype=np.complex128)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
-    scratch = np.empty_like(a2)
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    return u, v
 
-    def add(out, *terms):
-        for c, p in terms:
-            out += np.multiply(c, p, out=scratch)
-        return out
 
-    diag = slice(None, None, a.shape[0] + 1)
-    u = add(a6 @ add(b[13] * a6, (b[11], a4), (b[9], a2)), (b[7], a6), (b[5], a4), (b[3], a2))
-    u.reshape(-1)[diag] += b[1]
-    v = add(a6 @ add(b[12] * a6, (b[10], a4), (b[8], a2)), (b[6], a6), (b[4], a4), (b[2], a2))
-    v.reshape(-1)[diag] += b[0]
-    return a @ u, v
+def _norm_mu(a: np.ndarray) -> tuple:
+    """The 1-norm of a and its logarithmic infinity-norm
+    mu(A) = max_i (Re a_ii + sum_{j != i} |a_ij|); inf or NaN on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        abs_a = np.abs(a)
+        norm = float(abs_a.sum(axis=0).max(initial=0.0))
+        mu = float((abs_a.sum(axis=1) - abs_a.diagonal() + a.diagonal().real).max(initial=-math.inf))
+    return norm, mu
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -120,10 +127,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        abs_a = np.abs(a)
-        norm = float(abs_a.sum(axis=0).max(initial=0.0))
-        mu = float((abs_a.sum(axis=1) - abs_a.diagonal() + a.diagonal().real).max(initial=-math.inf))
+    norm, mu = _norm_mu(a)
     if not math.isfinite(norm):
         raise ValueError(f"matrix 1-norm is {norm!r}: an entry is not finite or the norm overflows")
     if norm == 0.0:
@@ -133,15 +137,11 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     # fewest halvings: each squaring amplifies roundoff
     s = max(0, math.ceil(math.log2(norm / _THETA_13)))
-    scaled = a / (2.0 ** s) if s else a
-    u, v = _pade13_uv(scaled)
+    u, v = _pade13_uv(a / (2.0 ** s) if s else a)
     f = np.linalg.solve(v - u, v + u)
-    # square s times, alternating between f and one spare C-ordered buffer
-    spare = np.empty(f.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            np.matmul(f, f, out=spare)
-            f, spare = spare, f
+            f = f @ f
     if not np.isfinite(f).all():
         raise ArithmeticError(f"matrix exponential overflows: 1-norm {norm:.3g}, {s} squarings")
     return f
@@ -349,10 +349,21 @@ def _leaf_expm(m: np.ndarray, omega: float, t: float) -> np.ndarray:
     A block left whole has omega = 0: subtracting 0j leaves every entry of
     m t as it is, so expm sees exactly m t, and the factor 1 + 0j changes at
     most the sign of a zero.
+
+    The squarings can carry roundoff up to u |(m - i omega) t|_1, so a leaf
+    where that exceeds _ROUNDOFF_BOUND raises ArithmeticError, unless its
+    exponential is the exact zero of an underflow (mu below -1075 ln 2).
     """
     shifted = m * t
     shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
-    return np.exp(1j * omega * t) * expm(shifted)
+    e = expm(shifted)
+    norm, mu = _norm_mu(shifted)
+    if mu >= _UNDERFLOW and _UNIT_ROUNDOFF * norm > _ROUNDOFF_BOUND:
+        raise ArithmeticError(
+            f"roundoff of the squarings u*|G t|_1 = {_UNIT_ROUNDOFF * norm:.3g} exceeds "
+            f"{_ROUNDOFF_BOUND:g} on a block of {m.shape[0]} states over t = {t:.3g}: "
+            "the result cannot be trusted")
+    return np.exp(1j * omega * t) * e
 
 
 def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:

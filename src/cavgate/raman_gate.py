@@ -232,10 +232,17 @@ def build_generator_effective(params: RamanParams, basis: Basis,
 
 
 def raman_pulse_duration(params: RamanParams) -> float:
-    """Weak-field pulse length T = 2 pi / |omega0_eff|."""
+    """Weak-field pulse length T = 2 pi / |omega0_eff|, with omega0_eff =
+    -omega20 omega_diag[0] / (2 delta[0]); a ValueError naming those three
+    rates is raised unless it is finite."""
     if params.omega20 <= 0.0 or params.omega_diag[0] <= 0.0:
         raise ValueError("pulse duration requires omega20 > 0 and omega_diag[0] > 0")
-    return 2.0 * math.pi / abs(effective_lambda_view(params).omega0_eff)
+    omega = abs(effective_lambda_view(params).omega0_eff)
+    t = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+    if not math.isfinite(t):
+        raise ValueError(f"pulse length 2 pi/|omega0_eff| is not finite at omega20={params.omega20!r}, "
+                         f"omega_diag[0]={params.omega_diag[0]!r}, delta[0]={params.delta[0]!r}")
+    return t
 
 
 def validate_regime_raman(params: RamanParams,

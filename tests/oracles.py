@@ -2,9 +2,10 @@
 
 Everything here is transcribed or brute-forced without touching the
 package's operator builders, so agreement is a genuine cross-check.  The
-kron builders and ``reference_expm`` are the package's earlier dense
-implementations, with every operation and its order kept: the cached-term
-builders and the in-place ``expm`` must reproduce them bit for bit.
+kron builders are the package's earlier dense implementations, with every
+operation and its order kept, and ``reference_expm`` is the scaling and
+squaring of ``expm`` without its checks and exact early returns: the
+cached-term builders and ``expm`` must reproduce them bit for bit.
 """
 
 import math

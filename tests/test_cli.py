@@ -321,6 +321,17 @@ INVALID = [
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
     (("validate", "--scheme", "raman", "--delta", "0"), "", "delta entries must be positive"),
     (("run", "--scheme", "raman", "--omega22", "1e200"), "", "matrix exponential overflows"),
+    (("run", "--scheme", "lambda", "--omega0", "1e-310"), "",
+     "error: pulse length 2 pi/omega0 is not finite at omega0=1e-310\n"),
+    (("run", "--scheme", "raman", "--omega20", "1e-310", "--omega21", "1e-310"), "",
+     "not finite at omega20=1e-310, omega_diag[0]=2.0, delta[0]=1000.0\n"),
+    *(((command, "--scheme", scheme, flag, value), "", "roundoff of the squarings u*|G t|_1 = ")
+      for command, scheme, flag, value in (
+          ("run", "lambda", "--omega0", "1e-300"),
+          ("run", "lambda", "--omega0", "1e-12"),
+          ("run", "shelving", "--omega-w", "1e-8"),
+          ("run", "shelving", "--omega-w", "1e-9"),
+          ("converge", "shelving", "--omega-w", "1e-9"))),
 ]
 
 
@@ -605,11 +616,27 @@ def test_valid_command_lines_echo_byte_identically(capsys, tmp_path, argv, code,
         assert samples.read_text() == SAMPLES
 
 
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports cavgate from this tree."""
+    src = str(Path(cavgate.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+NON_RUNTIME = "sorted({'scipy', 'mpmath', 'numba', 'hypothesis'} & set(sys.modules))"
+
+
+def test_raman_and_shelving_runs_need_only_numpy():
+    out = _fresh_python("import contextlib, io, sys\n"
+                        "from cavgate.cli import main\n"
+                        "with contextlib.redirect_stdout(io.StringIO()):\n"
+                        "    codes = [main(['run', '--scheme', 'raman']),\n"
+                        "             main(['run', '--scheme', 'shelving', '--omega-w', '0.02'])]\n"
+                        f"print(*codes, *{NON_RUNTIME})")
+    # the default raman point carries regime warnings, so it exits 1
+    assert out.split() == ["1", "0"]
+
+
 def test_importing_the_cli_needs_only_numpy():
     # the package depends on numpy alone; scipy, mpmath and hypothesis serve the tests and references
-    probe = ("import sys, cavgate.cli; "
-             "print(*sorted({'scipy', 'mpmath', 'numba', 'hypothesis'} & set(sys.modules)))")
-    src = str(Path(cavgate.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == ""
+    assert _fresh_python(f"import sys, cavgate.cli; print(*{NON_RUNTIME})").strip() == ""

@@ -74,6 +74,9 @@ def test_pulse_duration():
         pulse_duration(LambdaParams(omega0=0.1)) / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         pulse_duration(LambdaParams(omega0=0.0))
+    # 2 pi / 1e-310 overflows
+    with pytest.raises(ValueError, match="not finite at omega0=1e-310$"):
+        pulse_duration(LambdaParams(omega0=1e-310))
 
 
 def test_effective_rates_values():

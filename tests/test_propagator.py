@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from cavgate import propagator
-from cavgate.hilbert import StateVector, basis_state, build_basis
+from cavgate.hilbert import ConditionalGenerator, StateVector, basis_state, build_basis
 from cavgate.lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
 from cavgate.metrics import gate_run
 from cavgate.propagator import (
@@ -14,7 +14,7 @@ from cavgate.propagator import (
     propagate,
 )
 from cavgate.raman_gate import RamanParams, build_generator_raman, raman_pulse_duration
-from cavgate.shelving import ShelvingParams, build_generator_shelving
+from cavgate.shelving import ShelvingParams, build_generator_shelving, fit_dark_time
 from oracles import reference_expm
 
 
@@ -65,16 +65,26 @@ def _gate_block(params):
     return g[np.ix_(block, block)] * raman_pulse_duration(params)
 
 
-@pytest.mark.parametrize("case", ["W2", "long_3e4", "random", "random_antihermitian"])
-def test_expm_bitwise_equals_out_of_place_reference(case):
-    # the in-place Pade sums and ping-pong squarings keep every operation
-    # and its order, so results must be identical, not merely close
+W2 = RamanParams(omega20=0.05, omega21=0.05)
+LONG_3E4 = RamanParams(delta=3e4, omega_diag=20.0 * np.sqrt(0.3), kappa=1e-4, omega20=0.01, omega21=0.01)
+
+
+@pytest.mark.parametrize("case", ["W2", "long_3e4", "leaves", "random", "random_antihermitian"])
+def test_expm_bitwise_equals_out_of_place_reference(monkeypatch, case):
+    # expm is the reference's algorithm with every operation in the same
+    # order, so results must be identical, not merely close
     rng = np.random.default_rng(17)
     if case == "W2":
-        mats = [_gate_block(RamanParams(omega20=0.05, omega21=0.05))]
+        mats = [_gate_block(W2)]
     elif case == "long_3e4":
-        mats = [_gate_block(RamanParams(delta=3e4, omega_diag=20.0 * np.sqrt(0.3), kappa=1e-4,
-                                        omega20=0.01, omega21=0.01))]
+        mats = [_gate_block(LONG_3E4)]
+    elif case == "leaves":
+        # the shifted cluster leaves that propagate exponentiates
+        mats = []
+        monkeypatch.setattr(propagator, "expm", lambda a: mats.append(a.copy()) or expm(a))
+        for params in (W2, LONG_3E4):
+            gate_run("raman", params, [0.0, 0.0, 1.0, 0.0])
+        assert [a.shape[0] for a in mats] == [18, 36, 18, 18, 36, 18]
     elif case == "random":
         mats = [random_matrix(rng, dim, scale / dim)
                 for dim in (5, 24, 72) for scale in (1.0, 4.0, 30.0, 1e3)]
@@ -383,6 +393,30 @@ def test_decaying_excited_clusters_skip_the_pade_core(monkeypatch, exponentials)
     evaluated = gate_run("raman", params, psi).final_state.amplitudes
     assert sorted(exponentials.pade[1:]) == [18, 18, 36]
     assert np.array_equal(final, evaluated)
+
+
+@pytest.mark.parametrize("run,message", [
+    # p0 read 0.99805 against the first-order 0.9999999999981
+    (lambda: gate_run("lambda", LambdaParams(omega0=1e-12), [0.0, 0.0, 1.0, 0.0]),
+     "u\\*\\|G t\\|_1 = 0.0038 exceeds 1e-06 on a block of 24 states"),
+    # the squarings end in a zero matrix, and p0 read 0.0
+    (lambda: gate_run("lambda", LambdaParams(omega0=1e-300), [0.0, 0.0, 1.0, 0.0]),
+     "u\\*\\|G t\\|_1 = 3.8e\\+285 exceeds 1e-06"),
+    # the fit read 5.12e15 against the estimate 1e16
+    (lambda: fit_dark_time(ShelvingParams(omega_w=1e-8, omega_s=1.0, gamma_s=1.0)),
+     "u\\*\\|G t\\|_1 = 0.0111 exceeds 1e-06 on a block of 3 states"),
+], ids=["lambda_1e-12", "lambda_1e-300", "shelving_1e-8"])
+def test_propagation_refuses_squarings_whose_roundoff_exceeds_the_bound(run, message):
+    with pytest.raises(ArithmeticError, match=message):
+        run()
+
+
+def test_exact_underflow_is_exempt_from_the_roundoff_bound():
+    # u |G t|_1 = 1.1e-3, but mu t = -1e13 lies far below -1075 ln 2, so
+    # the zero that expm returns is exact
+    basis = build_basis("shelving", 0)
+    gen = ConditionalGenerator(basis, np.diag([-1.0, -2.0, -3.0]).astype(complex))
+    assert no_photon_probability(plan(gen, 1e13), basis_state(basis, 0, "A"), 1e13) == 0.0
 
 
 def test_no_photon_probability_basics():

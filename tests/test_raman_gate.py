@@ -184,6 +184,11 @@ def test_raman_pulse_duration():
     assert raman_pulse_duration(reference_params(delta=2000.0)) == pytest.approx(base * 2, rel=1e-12)
     with pytest.raises(ValueError):
         raman_pulse_duration(reference_params(omega20=0.0, omega21=0.0))
+    # 2 pi / |omega0_eff| overflows, and at 5e-324 omega0_eff itself underflows to 0
+    for weak in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match=f"not finite at omega20={weak!r}, "
+                                             r"omega_diag\[0\]=2.0, delta\[0\]=1000.0$"):
+            raman_pulse_duration(reference_params(omega20=weak, omega21=weak))
 
 
 def test_validate_regime_reference_point():
