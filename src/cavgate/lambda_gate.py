@@ -272,16 +272,11 @@ def first_order_success_probability(psi, params: LambdaParams) -> float:
     by ``qubit_state`` as ``gate_run`` checks it.  Outside the weak-driving
     regime the first-order expression can leave [0, 1]; the returned value
     is then clamped and a RegimeWarning is emitted.
+    p = 1 - 2 Re <CNOT psi, (CNOT - M) psi> is |M psi|^2 to first order in
+    CNOT - M, M being ``first_order_gate_matrix(params)``.
     """
     v = qubit_state(psi)
-    rates = effective_rates(params)
-    t = pulse_duration(params)
-    k1, k2 = rates.k1, rates.k2
-    c00, _, c10, c11 = v
-    p = 1.0
-    p -= 0.5 * (10.0 * k1 + k2) * t * (abs(c10) ** 2 + abs(c11) ** 2)
-    p -= 0.5 * (6.0 * k1 - k2) * t * (2.0 * (c10 * np.conj(c11)).real)
-    p -= 8.0 * k1 * t * abs(c00) ** 2
+    p = 1.0 - 2.0 * np.vdot(CNOT_MATRIX @ v, (CNOT_MATRIX - first_order_gate_matrix(params)) @ v).real
     if p < 0.0 or p > 1.0:
         warnings.warn(
             f"first-order success probability {p:.4g} clamped to [0, 1]; "

@@ -104,8 +104,9 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     n_max : int, optional
         Photon cutoff; defaults per scheme (see ``DEFAULT_N_MAX``).
     min_substeps : int
-        Only sets the time grid of the plan (see ``propagator.plan``); the
-        pulse's exponentials are evaluated once, at unit roundoff, either way.
+        Only refines the time grid of the plan (see ``propagator.plan``): the
+        pulse and the relax window are each one exponential at exactly their
+        length, so every value gives bitwise the same result.
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays

@@ -1,9 +1,10 @@
 """Propagation of states under a time-independent non-Hermitian generator.
 
 The generator never changes during a run, so ``propagate`` evaluates the
-exponentials once per distinct gap between requested times (once for a
-gate run, once for an even output grid), on the block of states reachable
-from the initial state's support; cost does not grow with the pulse length.
+exponentials once per distinct gap between requested times, each over an
+exact fraction of the run (a gate run is one exponential at exactly its
+length), on the block of states reachable from the initial state's
+support; cost does not grow with the pulse length.
 
 A block whose diagonal falls into well-separated clusters (the far-detuned
 Raman excited states: none, one or two atoms excited) is first
@@ -21,19 +22,15 @@ to unit roundoff, is exponentiated whole, as one matrix.
 The exponential is scaling and squaring with the diagonal degree-13 Pade
 core (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the matrix halved until its
 1-norm is below Higham's theta_13 (SIAM J. Matrix Anal. Appl. 26, 1179
-(2005)), where the backward error is at unit roundoff.  A matrix whose
-logarithmic infinity-norm mu(A) = max_i (Re a_ii + sum_{j != i} |a_ij|) is
-below -1075 ln 2 gives the zero matrix without a Pade evaluation: every
-entry of e^A is below e^mu(A) < 2^-1075, half the smallest subnormal, so
-zero is its correctly rounded value.  With atomic decay the excited Raman
-clusters of a gate pulse end there: at delta = 1000, gamma >= 0.1 and
-omega20 = omega21 in [0.01, 0.1] both do, with mu T from -3e3 to -3.1e5.
+(2005)), where the backward error is at unit roundoff.  Below a
+logarithmic norm of -1075 ln 2 the result is the exact zero matrix (see
+``expm``).  With atomic decay the excited Raman clusters of a gate pulse
+end there: at delta = 1000, gamma >= 0.1 and omega20 = omega21 in
+[0.01, 0.1] both do, with mu T from -3e3 to -3.1e5.
 
-The squarings of each exponential carry roundoff up to u |G t|_1, u being
-the unit roundoff, and nothing after them can remove it.  ``propagate``
-therefore raises ArithmeticError for a leaf where that exceeds 1e-6 (tiny
-drives, whose pulse lengths make |G t|_1 huge), unless its exponential is
-the exact zero of an underflow.
+The squarings of each exponential carry roundoff up to u |G t|_1, so
+``propagate`` raises ArithmeticError where that exceeds 1e-6 (tiny drives,
+whose pulse lengths make |G t|_1 huge), unless the result is an exact zero.
 """
 
 from __future__ import annotations
@@ -151,9 +148,9 @@ def expm(a: np.ndarray) -> np.ndarray:
 class PropagatorPlan:
     """Time grid of a run under one generator.
 
-    The grid step is ``dt``; ``propagate`` accepts times on it.  Immutable
-    and shareable; independent propagate calls may run concurrently on the
-    same plan.
+    ``dt`` only snaps requested times onto the grid; ``propagate`` takes k
+    steps as t_total * (k / (n_outputs * n_sub)).  Immutable and shareable;
+    independent propagate calls may run concurrently on the same plan.
     """
 
     generator: ConditionalGenerator
@@ -168,18 +165,20 @@ def plan(generator: ConditionalGenerator, t_total: float,
     """Fix the time grid of a run.
 
     The grid step is dt = t_total / (n_outputs * min_substeps); the two
-    counts, positive integers, only set which times ``propagate`` accepts,
-    not its accuracy: every exponential is evaluated at unit roundoff (see
-    ``expm``).  A count that is not an integer raises ValueError.
+    counts, positive integers, only set which times ``propagate`` accepts:
+    a run to t_total is one exponential at exactly t_total whatever they
+    are, at unit roundoff (see ``expm``).  A count that is not an integer
+    raises ValueError.
     """
     if not np.all(np.isfinite(generator.matrix)):
         raise ValueError("generator contains non-finite entries")
+    t_total = float(t_total)
     if not (t_total > 0.0) or not math.isfinite(t_total):
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
     n_outputs = _count("n_outputs", n_outputs)
     n_sub = _count("min_substeps", min_substeps)
     return PropagatorPlan(
-        generator=generator, t_total=float(t_total), n_outputs=n_outputs,
+        generator=generator, t_total=t_total, n_outputs=n_outputs,
         n_sub=n_sub, dt=t_total / (n_outputs * n_sub),
     )
 
@@ -230,13 +229,13 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
     if ts[0] < -1e-12 or ts[-1] > p.t_total * (1.0 + 1e-12):
         raise ValueError(
             f"t_grid must lie within [0, t_total={p.t_total!r}], "
-            f"got range [{ts[0]!r}, {ts[-1]!r}]"
+            f"got range [{float(ts[0])!r}, {float(ts[-1])!r}]"
         )
     ks = np.rint(ts / p.dt).astype(np.int64)
     misfit = np.abs(ts - ks * p.dt)
     bad = misfit > 1e-6 * max(p.dt, 1e-300)
     if np.any(bad):
-        t_bad = ts[bad][0]
+        t_bad = float(ts[bad][0])
         raise ValueError(
             f"time {t_bad!r} is not a multiple of the plan step dt={p.dt!r}; "
             "use output_times(plan) or pass min_substeps to refine the grid"
@@ -371,7 +370,7 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
 
     Squared norms of the returned states are the no-photon probabilities.
     Grid times must be multiples of the plan step, in increasing order,
-    within [0, t_total].
+    within [0, t_total]; a gap of k steps spans t_total * (k / steps).
     """
     if state0.basis != p.generator.basis:
         raise ValueError("state basis does not match the generator basis")
@@ -390,7 +389,8 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     for gap in np.diff(ks, prepend=0):
         if gap:
             if gap not in exps:
-                exps[gap] = [_leaf_expm(m, omega, gap * p.dt) for _, m, omega in leaves]
+                t = p.t_total * (gap / (p.n_outputs * p.n_sub))
+                exps[gap] = [_leaf_expm(m, omega, t) for _, m, omega in leaves]
             for (part, _, _), e in zip(leaves, exps[gap]):
                 cur[part] = e @ cur[part]
         # and back, innermost split first: v_s = a + Y b, v_f = b + X v_s
@@ -410,5 +410,5 @@ def no_photon_probability(p: PropagatorPlan, state0: StateVector, t: float) -> f
 
 
 def output_times(p: PropagatorPlan) -> np.ndarray:
-    """The n_outputs + 1 evenly spaced times from 0 to t_total."""
-    return np.arange(p.n_outputs + 1) * (p.n_sub * p.dt)
+    """The n_outputs + 1 even times t_total * (k / n_outputs), the last t_total."""
+    return p.t_total * (np.arange(p.n_outputs + 1) / p.n_outputs)

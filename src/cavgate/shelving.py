@@ -82,13 +82,18 @@ def dark_time(params: ShelvingParams) -> float:
 def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
     """No-emission probability of the initial state A at each grid time.
 
-    The times are the even grid k*t_max/n from 0 to t_max (as
-    ``np.linspace(0, t_max, n + 1)`` gives them) or a single positive time;
-    ``propagate`` evaluates them with one exponential and raises ValueError
-    on any other grid.  Emits a RegimeWarning when the dark-period
-    conditions omega_w << omega_s^2/gamma_s and omega_w << gamma_s are not
-    met.
+    ``t_grid`` is the even grid k*t_max/n from 0 to t_max (as
+    ``np.linspace(0, t_max, n + 1)`` gives it), evaluated with one
+    exponential, or a single positive time; anything else raises
+    ValueError.  Emits a RegimeWarning when the dark-period conditions
+    omega_w << omega_s^2/gamma_s and omega_w << gamma_s are not met.
     """
+    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    t_max, n = ts.max(initial=0.0), max(ts.size - 1, 1)
+    if ts.ndim != 1 or not 0.0 < t_max < math.inf or ts.size > 1 and (
+            np.abs(ts - t_max * (np.arange(n + 1) / n)).max() > 1e-6 * t_max / n):
+        raise ValueError("t_grid must be the even grid k*t_max/n, k = 0..n, from 0 to a positive "
+                         f"finite t_max, or one positive time; got {np.array2string(ts, threshold=6)}")
     report = validate_regime_shelving(params)
     if not report.all_pass:
         warnings.warn(
@@ -97,10 +102,8 @@ def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
             RegimeWarning,
             stacklevel=2,
         )
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    gen = build_generator_shelving(params)
-    p = plan(gen, ts.max(initial=0.0), n_outputs=max(ts.size - 1, 1))
-    return np.array([s.squared_norm() for s in propagate(p, basis_state(gen.basis, 0, "A"), ts)])
+    p = plan(build_generator_shelving(params), t_max, n_outputs=n)
+    return np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
 
 
 def fit_dark_time(params: ShelvingParams, n_points: int = 200) -> float:

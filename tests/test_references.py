@@ -27,18 +27,39 @@ REFERENCES = json.loads(
 PARAMS = {"lambda": LambdaParams, "raman": RamanParams}
 
 
+def fingerprint(result):
+    """Every number of a gate run, for bitwise comparison."""
+    return (result.p0, result.fidelity, result.fidelity_unconditional,
+            (result.final_state.amplitudes + 0.0).tobytes())
+
+
+# min_substeps only refines the time grid: the pulse is one exponential at
+# exactly T on every grid, so the result is bitwise that of the default grid
+@pytest.mark.parametrize("min_substeps", [1, 2, 3, 7])
 @pytest.mark.parametrize("name,p0_tol,fidelity_tol", [
     ("W1", 1e-12, 1e-12),
     ("W2", 1e-12, 1e-12),
     ("long_3e4", 1e-12, 1e-12),
 ])
-def test_default_gate_run_matches_reference(name, p0_tol, fidelity_tol):
+def test_default_gate_run_matches_reference(name, p0_tol, fidelity_tol, min_substeps):
     ref = REFERENCES[name]
     psi = np.zeros(4, dtype=np.complex128)
     psi[QUBIT_CONFIGS.index(ref["input"])] = 1.0
-    result = gate_run(ref["scheme"], PARAMS[ref["scheme"]](**ref["params"]), psi)
+    params = PARAMS[ref["scheme"]](**ref["params"])
+    result = gate_run(ref["scheme"], params, psi, min_substeps=min_substeps)
     assert abs(result.p0 - float(ref["p0"])) <= p0_tol
     assert abs(result.fidelity - float(ref["fidelity"])) <= fidelity_tol
+    assert fingerprint(result) == fingerprint(gate_run(ref["scheme"], params, psi))
+
+
+@pytest.mark.parametrize("min_substeps", [2, 3, 7])
+def test_relax_window_is_the_same_on_every_grid(min_substeps):
+    # the pulse and the laser-free window are each one exponential at
+    # exactly their length, whatever the grid
+    params = LambdaParams(omega0=0.1, gamma=1e-3)
+    psi = [0.0, 0.0, 1.0, 0.0]
+    result = gate_run("lambda", params, psi, relax_window=True, min_substeps=min_substeps)
+    assert fingerprint(result) == fingerprint(gate_run("lambda", params, psi, relax_window=True))
 
 
 def test_far_detuned_cost_does_not_grow_with_pulse_length(exponentials):

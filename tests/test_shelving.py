@@ -75,11 +75,13 @@ def test_survival_probability_basics():
 
 def test_survival_probability_rejects_an_uneven_grid():
     # one exponential serves an even grid only; an uneven one is an error, not a slow path
+    # the message names t_grid and its contract, not a plan the caller never built
     params = ShelvingParams(0.02, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        survival_probability(params, [0.0, 1.0, 3.0])
-    with pytest.raises(ValueError):
-        survival_probability(params, [0.0, 2500.0, 1000.0])
+    contract = (r"^t_grid must be the even grid k\*t_max/n, k = 0\.\.n, from 0 to a positive "
+                r"finite t_max, or one positive time; got \[")
+    for t_grid in ([0.0, 1.0, 3.0], [0.0, 2500.0, 1000.0], [0, 3, 10], [0.0]):
+        with pytest.raises(ValueError, match=contract):
+            survival_probability(params, t_grid)
 
 
 def test_survival_warns_outside_dark_regime():
