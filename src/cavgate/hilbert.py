@@ -139,8 +139,9 @@ def qubit_state(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if v.shape != (4,):
         raise ValueError(f"expected 4 amplitudes over (00, 01, 10, 11), got shape {v.shape}")
-    if abs(np.vdot(v, v).real - 1.0) > 1e-9:
-        raise ValueError(f"qubit state must be unit norm, got |psi|^2 = {np.vdot(v, v).real!r}")
+    norm2 = float(np.vdot(v, v).real)
+    if not abs(norm2 - 1.0) <= 1e-9:  # NaN too, e.g. from inf*0 products
+        raise ValueError(f"qubit state must be unit norm, got |psi|^2 = {norm2!r}")
     return v
 
 

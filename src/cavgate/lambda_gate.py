@@ -231,7 +231,8 @@ def effective_dfs_evolution(initial, params: LambdaParams, t: float,
     the closed linear system solved here by exact matrix exponentiation.
     Pass explicit ``rates`` to study the model away from its physical
     damping constants (EffectiveRates(0, 0) gives the ideal pulse: an
-    exact exchange of the driven pair after t = 2 pi / omega0).
+    exact exchange of the driven pair after t = 2 pi / omega0).  Raises
+    ArithmeticError where ``propagator.expm`` refuses the exponential.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")

@@ -29,8 +29,8 @@ end there: at delta = 1000, gamma >= 0.1 and omega20 = omega21 in
 [0.01, 0.1] both do, with mu T from -3e3 to -3.1e5.
 
 The squarings of each exponential carry roundoff up to u |G t|_1, so
-``propagate`` raises ArithmeticError where that exceeds 1e-6 (tiny drives,
-whose pulse lengths make |G t|_1 huge), unless the result is an exact zero.
+``expm`` refuses every one where that exceeds 1e-6 (ArithmeticError; tiny
+drives, whose pulse lengths make |G t|_1 huge), unless its result is exact.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _SEP = 8.0
 _SWEEPS = 30
 _UNIT_ROUNDOFF = 2.0 ** -53
 
-# largest roundoff u |G t|_1 a propagation may carry: the p0 accuracy that
+# largest roundoff u |G t|_1 an exponential may carry: the p0 accuracy that
 # DEFAULT_N_MAX is chosen for
 _ROUNDOFF_BOUND = 1e-6
 
@@ -119,7 +119,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     A matrix whose 1-norm is not finite (a non-finite entry, or a sum that
     overflows) raises ValueError, and squarings that overflow raise
-    ArithmeticError: no inf or NaN entry is ever returned.
+    ArithmeticError: no inf or NaN entry is ever returned.  So do squarings
+    whose roundoff u |A|_1 exceeds _ROUNDOFF_BOUND; exact results are exempt.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -141,6 +142,10 @@ def expm(a: np.ndarray) -> np.ndarray:
             f = f @ f
     if not np.isfinite(f).all():
         raise ArithmeticError(f"matrix exponential overflows: 1-norm {norm:.3g}, {s} squarings")
+    if _UNIT_ROUNDOFF * norm > _ROUNDOFF_BOUND:
+        raise ArithmeticError(
+            f"roundoff of the squarings u*|G t|_1 = {_UNIT_ROUNDOFF * norm:.3g} exceeds "
+            f"{_ROUNDOFF_BOUND:g} on a block of {a.shape[0]} states: the result cannot be trusted")
     return f
 
 
@@ -224,6 +229,8 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if ts.ndim != 1 or ts.size == 0:
         raise ValueError("t_grid must be a non-empty 1-d sequence of times")
+    if not np.isfinite(ts).all():
+        raise ValueError(f"t_grid must hold finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("t_grid must be non-decreasing")
     if ts[0] < -1e-12 or ts[-1] > p.t_total * (1.0 + 1e-12):
@@ -348,21 +355,10 @@ def _leaf_expm(m: np.ndarray, omega: float, t: float) -> np.ndarray:
     A block left whole has omega = 0: subtracting 0j leaves every entry of
     m t as it is, so expm sees exactly m t, and the factor 1 + 0j changes at
     most the sign of a zero.
-
-    The squarings can carry roundoff up to u |(m - i omega) t|_1, so a leaf
-    where that exceeds _ROUNDOFF_BOUND raises ArithmeticError, unless its
-    exponential is the exact zero of an underflow (mu below -1075 ln 2).
     """
     shifted = m * t
     shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
-    e = expm(shifted)
-    norm, mu = _norm_mu(shifted)
-    if mu >= _UNDERFLOW and _UNIT_ROUNDOFF * norm > _ROUNDOFF_BOUND:
-        raise ArithmeticError(
-            f"roundoff of the squarings u*|G t|_1 = {_UNIT_ROUNDOFF * norm:.3g} exceeds "
-            f"{_ROUNDOFF_BOUND:g} on a block of {m.shape[0]} states over t = {t:.3g}: "
-            "the result cannot be trusted")
-    return np.exp(1j * omega * t) * e
+    return np.exp(1j * omega * t) * expm(shifted)
 
 
 def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:

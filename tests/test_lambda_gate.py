@@ -186,6 +186,8 @@ def test_first_order_success_probability_input_validation():
         first_order_success_probability([1, 0, 0], params)
     with pytest.raises(ValueError):
         first_order_success_probability([1, 0, 0, 1], params)
+    with pytest.raises(ValueError, match=r"unit norm, got \|psi\|\^2 = nan$"):
+        first_order_success_probability([np.nan, 0, 0, 0], params)
 
 
 def test_validate_regime_lambda():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavgate.hilbert import basis_state, build_basis
+from cavgate import metrics
+from cavgate.hilbert import StateVector, basis_state, build_basis
 from cavgate.lambda_gate import LambdaParams
 from cavgate.metrics import (
     CNOT_MATRIX,
@@ -153,6 +156,11 @@ def test_gate_run_input_validation():
         gate_run("shelving", LambdaParams(omega0=0.1), E10)
     with pytest.raises(ValueError):
         gate_run("lambda", LambdaParams(omega0=0.1), [1, 1, 0, 0])
+    # non-finite amplitudes give a NaN norm (or inf, by the BLAS build), which
+    # only a NaN-safe comparison rejects; p0 and the fidelities would read nan
+    for psi in ([np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1, 0, 1j * np.inf, 0]):
+        with pytest.raises(ValueError, match=r"unit norm, got \|psi\|\^2 = (nan|inf)$"):
+            gate_run("lambda", LambdaParams(omega0=0.1), psi)
     with pytest.raises(ValueError):
         gate_run("raman", RamanParams(), E10, relax_window=True)
 
@@ -174,3 +182,21 @@ def test_gate_run_superposition_input():
 def test_gate_run_refuses_a_result_swamped_by_roundoff(weak, message):
     with pytest.raises(ArithmeticError, match=message):
         gate_run("raman", RamanParams(omega20=weak, omega21=weak), E10)
+
+
+@pytest.mark.parametrize("growth,refused", [(1e-10, False), (1e-8, True)])
+def test_gate_run_refuses_p0_above_one(monkeypatch, growth, refused):
+    # a conditioned norm cannot grow, so p0 past 1 + 1e-9 is roundoff, not a result
+    real = metrics.propagate
+
+    def grown(p, state, t_grid):
+        return [StateVector(s.basis, s.amplitudes * math.sqrt(1.0 + growth))
+                for s in real(p, state, t_grid)]
+
+    monkeypatch.setattr(metrics, "propagate", grown)
+    if refused:
+        with pytest.raises(ArithmeticError, match=r"p0 = 1\.00000001\d* exceeds 1 by more than 1e-09"):
+            gate_run("lambda", LambdaParams(omega0=0.1), E01)
+    else:
+        p0 = gate_run("lambda", LambdaParams(omega0=0.1), E01).p0
+        assert p0 == pytest.approx(1.0 + growth, abs=1e-15)

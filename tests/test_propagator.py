@@ -4,7 +4,13 @@ import scipy.linalg
 
 from cavgate import propagator
 from cavgate.hilbert import ConditionalGenerator, StateVector, basis_state, build_basis
-from cavgate.lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
+from cavgate.lambda_gate import (
+    EffectiveRates,
+    LambdaParams,
+    build_generator_lambda,
+    effective_dfs_evolution,
+    pulse_duration,
+)
 from cavgate.metrics import gate_run
 from cavgate.propagator import (
     expm,
@@ -75,9 +81,15 @@ def test_expm_bitwise_equals_out_of_place_reference(monkeypatch, case):
     # order, so results must be identical, not merely close
     rng = np.random.default_rng(17)
     if case == "W2":
+        # u |A|_1 = 2.8e-8 after 26 squarings: the deepest accepted whole block
         mats = [_gate_block(W2)]
     elif case == "long_3e4":
-        mats = [_gate_block(LONG_3E4)]
+        # 36 squarings of the whole block carry u |A|_1 = 2.29e-5, past the
+        # bound, so expm refuses it; propagation exponentiates its leaves
+        with pytest.raises(ArithmeticError, match="u\\*\\|G t\\|_1 = 2.29e-05 exceeds 1e-06 "
+                                                  "on a block of 72 states"):
+            expm(_gate_block(LONG_3E4))
+        return
     elif case == "leaves":
         # the shifted cluster leaves that propagate exponentiates
         mats = []
@@ -93,6 +105,16 @@ def test_expm_bitwise_equals_out_of_place_reference(monkeypatch, case):
         mats = [-1j * scale * (h + h.conj().T) for scale in (0.5, 1e2, 1e5)]
     for a in mats:
         assert np.array_equal(expm(a), reference_expm(a))
+
+
+def test_each_leaf_is_normed_once(monkeypatch):
+    # expm takes the 1-norm it scales by and checks the roundoff bound on
+    # it, so nothing norms a leaf a second time
+    sizes = []
+    real = propagator._norm_mu
+    monkeypatch.setattr(propagator, "_norm_mu", lambda a: sizes.append(a.shape[0]) or real(a))
+    gate_run("raman", W2, [0.0, 0.0, 1.0, 0.0])
+    assert sorted(sizes) == [18, 18, 36]
 
 
 def test_expm_trivial_and_errors():
@@ -243,6 +265,10 @@ def test_propagate_grid_validation():
         propagate(p, state, [0.123456])
     with pytest.raises(ValueError):
         propagate(p, state, [])
+    # a NaN passes every comparison, and would cast to INT64_MIN steps
+    for t_grid, shown in (([np.nan], "nan"), ([0.0, np.nan, 10.0], "nan"), ([0.0, np.inf], "inf")):
+        with pytest.raises(ValueError, match=f"^t_grid must hold finite times, got {shown}$"):
+            propagate(p, state, t_grid)
 
 
 def test_propagate_rejects_foreign_basis():
@@ -406,7 +432,17 @@ def test_decaying_excited_clusters_skip_the_pade_core(monkeypatch, exponentials)
     # the fit read 5.12e15 against the estimate 1e16
     (lambda: fit_dark_time(ShelvingParams(omega_w=1e-8, omega_s=1.0, gamma_s=1.0)),
      "u\\*\\|G t\\|_1 = 0.0111 exceeds 1e-06 on a block of 3 states"),
-], ids=["lambda_1e-12", "lambda_1e-300", "shelving_1e-8"])
+    # the relax window of 5/gamma = 5e9 takes the dark block whole; splitting
+    # off the decoherence-free states would give the answer, to check here then
+    (lambda: gate_run("lambda", LambdaParams(omega0=0.1, gamma=1e-9), [0.0, 0.0, 1.0, 0.0],
+                      relax_window=True),
+     "u\\*\\|G t\\|_1 = 3.03e-06 exceeds 1e-06 on a block of 24 states"),
+    # no decay and no underflow: 1e12 time units, about 1.6e10 pulses
+    (lambda: effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), 1e12,
+                                     rates=EffectiveRates(0.0, 0.0)),
+     "u\\*\\|G t\\|_1 = 7.85e-06 exceeds 1e-06 on a block of 3 states"),
+], ids=["lambda_1e-12", "lambda_1e-300", "shelving_1e-8", "relax_window_gamma_1e-9",
+        "dfs_lossless_1e12"])
 def test_propagation_refuses_squarings_whose_roundoff_exceeds_the_bound(run, message):
     with pytest.raises(ArithmeticError, match=message):
         run()
