@@ -53,6 +53,7 @@ __all__ = [
     "build_basis",
     "basis_state",
     "as_integer",
+    "as_rate",
     "set_rates",
     "qubit_state",
     "dfs_projector",
@@ -123,35 +124,32 @@ def as_integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_rate(name: str, value) -> float:
+    """``value`` as a float; a ValueError naming ``name`` unless it is a
+    finite non-negative rate."""
+    v = float(value)
+    if not math.isfinite(v) or v < 0.0:
+        raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
+    return v
+
+
 def set_rates(params, names) -> None:
-    """Store the named fields of a frozen parameter dataclass as floats; the
-    first that is not a finite non-negative rate raises a ValueError naming it."""
+    """Store the named fields of a frozen parameter dataclass as floats, each
+    checked by ``as_rate``; the first that fails raises."""
     for name in names:
-        v = float(getattr(params, name))
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"{name} must be a finite non-negative rate, got {v!r}")
-        object.__setattr__(params, name, v)
+        object.__setattr__(params, name, as_rate(name, getattr(params, name)))
 
 
 def qubit_state(psi) -> np.ndarray:
     """``psi`` as 4 complex amplitudes over ``QUBIT_CONFIGS``; it must have
-    unit norm (to 1e-9), and any shape holding 4 entries is flattened."""
-    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    shape (4,) and unit norm (to 1e-9)."""
+    v = np.asarray(psi, dtype=np.complex128)
     if v.shape != (4,):
         raise ValueError(f"expected 4 amplitudes over (00, 01, 10, 11), got shape {v.shape}")
     norm2 = float(np.vdot(v, v).real)
     if not abs(norm2 - 1.0) <= 1e-9:  # NaN too, e.g. from inf*0 products
         raise ValueError(f"qubit state must be unit norm, got |psi|^2 = {norm2!r}")
     return v
-
-
-def _normalize_config(scheme: str, config) -> str:
-    """Canonicalize a configuration label; tuples are accepted for raman."""
-    if isinstance(config, tuple):
-        if scheme != "raman" or len(config) != 2:
-            raise ValueError(f"tuple configurations are only valid for the raman scheme, got {config!r}")
-        config = "".join(str(x) for x in config)
-    return str(config)
 
 
 @dataclass(frozen=True)
@@ -170,13 +168,14 @@ class Basis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, n: int, config) -> int:
-        """Integer index of the label (n, config); raises ValueError on
-        unknown labels and on a non-integral n."""
-        key = (as_integer("n", n), _normalize_config(self.scheme, config))
+    def index(self, n: int, config: str) -> int:
+        """Integer index of the label (n, config), config being one of the
+        scheme's configuration strings, e.g. "1e2" for raman; raises
+        ValueError on unknown labels and on a non-integral n."""
+        key = (as_integer("n", n), config)
         try:
             return self._index[key]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable config is no label either
             raise ValueError(
                 f"label (n={key[0]}, config={key[1]!r}) is not in the "
                 f"{self.scheme} basis with n_max={self.n_max}"
@@ -235,7 +234,7 @@ class StateVector:
     def squared_norm(self) -> float:
         return float(np.real(np.vdot(self.amplitudes, self.amplitudes)))
 
-    def amplitude(self, n: int, config) -> complex:
+    def amplitude(self, n: int, config: str) -> complex:
         return complex(self.amplitudes[self.basis.index(n, config)])
 
     def overlap(self, other: "StateVector") -> complex:
@@ -274,7 +273,7 @@ class ConditionalGenerator(Operator):
         return 1j * self.matrix
 
 
-def basis_state(basis: Basis, n: int, config) -> StateVector:
+def basis_state(basis: Basis, n: int, config: str) -> StateVector:
     """Unit vector with amplitude 1 at the label (n, config)."""
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.index(n, config)] = 1.0

@@ -222,25 +222,23 @@ def _dfs_block_matrix(omega: float, rates: EffectiveRates) -> np.ndarray:
     )
 
 
-def effective_dfs_evolution(initial, params: LambdaParams, t: float,
-                            rates: EffectiveRates | None = None) -> np.ndarray:
+def effective_dfs_evolution(initial, params: LambdaParams, t: float) -> np.ndarray:
     """Evolve the five decoherence-free amplitudes for a time t.
 
-    ``initial`` holds (c_00, c_01, c_10, c_11, c_a).  c_01 is conserved,
-    c_00 decays as exp(-4 k1 t), and the remaining three amplitudes follow
-    the closed linear system solved here by exact matrix exponentiation.
-    Pass explicit ``rates`` to study the model away from its physical
-    damping constants (EffectiveRates(0, 0) gives the ideal pulse: an
-    exact exchange of the driven pair after t = 2 pi / omega0).  Raises
-    ArithmeticError where ``propagator.expm`` refuses the exponential.
+    ``initial`` holds the finite amplitudes (c_00, c_01, c_10, c_11, c_a).
+    With k1, k2 = ``effective_rates(params)``, c_01 is conserved, c_00
+    decays as exp(-4 k1 t), and the remaining three amplitudes follow the
+    closed linear system solved here by exact matrix exponentiation.
+    Raises ArithmeticError where ``propagator.expm`` refuses the exponential.
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     v = np.asarray(initial, dtype=np.complex128)
     if v.shape != (5,):
         raise ValueError(f"expected 5 decoherence-free amplitudes, got shape {v.shape}")
-    if rates is None:
-        rates = effective_rates(params)
+    if not np.isfinite(v).all():
+        raise ValueError(f"initial amplitudes must be finite, got {v.tolist()!r}")
+    rates = effective_rates(params)
     out = v.copy()
     out[0] = v[0] * np.exp(-4.0 * rates.k1 * t)
     out[2:5] = expm(_dfs_block_matrix(params.omega, rates) * t) @ v[2:5]

@@ -29,6 +29,7 @@ from .hilbert import (
     Basis,
     ConditionalGenerator,
     RAMAN_LEVELS,
+    as_rate,
     assemble,
     fock_lowering,
     ket_bra,
@@ -59,16 +60,14 @@ _LEV = {name: i for i, name in enumerate(RAMAN_LEVELS)}
 
 
 def _triple(value, name: str) -> tuple:
-    """Broadcast a scalar to a 3-tuple of finite non-negative floats; a
-    ValueError naming ``name`` otherwise."""
+    """Broadcast a scalar to a 3-tuple of rates, entry j checked by
+    ``as_rate`` under the name ``name[j]``."""
     if np.isscalar(value):
         value = (value, value, value)
-    out = tuple(float(v) for v in value)
+    out = tuple(value)
     if len(out) != 3:
         raise ValueError(f"{name} must be a scalar or a 3-tuple, got {value!r}")
-    if not all(math.isfinite(v) and v >= 0.0 for v in out):
-        raise ValueError(f"{name} entries must be finite and non-negative, got {out!r}")
-    return out
+    return tuple(as_rate(f"{name}[{j}]", v) for j, v in enumerate(out))
 
 
 @dataclass(frozen=True)
@@ -206,15 +205,13 @@ def _shift_hamiltonian(view: EffectiveLambdaView, n_max: int) -> np.ndarray:
     return _to_symmetrized(h, n_max + 1)
 
 
-def build_generator_effective(params: RamanParams, basis: Basis,
-                              include_shifts: bool = True) -> ConditionalGenerator:
+def build_generator_effective(params: RamanParams, basis: Basis) -> ConditionalGenerator:
     """Reduced generator after eliminating the excited states.
 
     Lives on a three-level (lambda-scheme) basis: the gate terms are the
-    three-level ones at (g_eff, omega_eff, gamma = 0), plus the four
-    light-shift terms unless ``include_shifts`` is false.  The two weak
-    effective Rabi frequencies must be equal, since the reduced model is
-    only used for the balanced gate drive.
+    three-level ones at (g_eff, omega_eff, gamma = 0) plus the four
+    light-shift terms.  The two weak effective Rabi frequencies must be
+    equal, since the reduced model is only used for the balanced gate drive.
     """
     basis.require_scheme("lambda")
     view = effective_lambda_view(params)
@@ -226,8 +223,7 @@ def build_generator_effective(params: RamanParams, basis: Basis,
             "the reduced generator assumes a balanced drive"
         )
     h = _three_level_hamiltonian(view.g_eff, view.omega0_eff, params.kappa, 0.0, basis)
-    if include_shifts:
-        h = h + _shift_hamiltonian(view, basis.n_max)
+    h = h + _shift_hamiltonian(view, basis.n_max)
     return ConditionalGenerator(basis, -1j * h)
 
 

@@ -103,13 +103,12 @@ def test_effective_generator_bitwise_equals_kron_builder(monkeypatch):
         cases.append(RamanParams(g=rng.uniform(0.5, 2.0), kappa=rng.uniform(1e-4, 0.1),
                                  delta=10.0 ** rng.uniform(2.0, 4.0), omega_diag=rng.uniform(0.5, 10.0),
                                  omega20=weak, omega21=weak))
-    runs = [(p, build_basis("lambda", n), shifts)
-            for p in cases for n in range(4) for shifts in (True, False)]
-    cached = [build_generator_effective(p, b, include_shifts=s).matrix for p, b, s in runs]
+    runs = [(p, build_basis("lambda", n)) for p in cases for n in range(4)]
+    cached = [build_generator_effective(p, b).matrix for p, b in runs]
     monkeypatch.setattr(raman_gate, "_three_level_hamiltonian", kron_hamiltonian_lambda)
     monkeypatch.setattr(raman_gate, "_shift_hamiltonian", kron_shift_hamiltonian)
-    for (p, b, s), matrix in zip(runs, cached):
-        assert np.array_equal(matrix, build_generator_effective(p, b, include_shifts=s).matrix)
+    for (p, b), matrix in zip(runs, cached):
+        assert np.array_equal(matrix, build_generator_effective(p, b).matrix)
 
 
 @pytest.mark.parametrize("anchor", ["W1", "W2", "long_3e4"])
@@ -130,7 +129,7 @@ def _build(anchor):
     """A gate run's final state at an anchor, or the shifted reduced generator of RamanParams()."""
     if anchor == "effective":
         basis = build_basis("lambda", 2)
-        return lambda: build_generator_effective(RamanParams(), basis, include_shifts=True).matrix
+        return lambda: build_generator_effective(RamanParams(), basis).matrix
     scheme, params, psi = anchor_run(anchor)
     return lambda: gate_run(scheme, params, psi).final_state.amplitudes
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,8 +81,8 @@ def test_basis_state_examples():
     assert sa.amplitudes[b.index(0, "a")] == 1.0
 
     br = build_basis("raman", 1)
-    sr = basis_state(br, 1, ("1", "e2"))
-    assert sr.amplitudes[br.index(1, "1e2")] == 1.0
+    sr = basis_state(br, 1, "1e2")
+    assert sr.amplitudes[36 + RAMAN_CONFIGS.index("1e2")] == 1.0
 
 
 def test_unknown_label_names_the_label():
@@ -89,6 +91,11 @@ def test_unknown_label_names_the_label():
         basis_state(b, 0, "12")
     with pytest.raises(ValueError, match="n=5"):
         basis_state(b, 5, "00")
+    # labels are strings only: ("1", "e2") is not the label "1e2"
+    with pytest.raises(ValueError, match=r"config=\('1', 'e2'\)"):
+        build_basis("raman", 2).index(1, ("1", "e2"))
+    with pytest.raises(ValueError, match=r"config=\['0', '0'\]"):
+        build_basis("raman", 2).index(0, ["0", "0"])
 
 
 def test_raman_configs_are_unambiguous():
@@ -185,12 +192,20 @@ RATE_FIELDS = [(LambdaParams, {"omega0": 0.1}, name) for name in ("omega0", "kap
 RATE_FIELDS += [(RamanParams, {}, name) for name in ("g", "kappa", "omega20", "omega21")]
 RATE_FIELDS += [(ShelvingParams, {"omega_w": 0.02, "omega_s": 1.0, "gamma_s": 1.0}, name)
                 for name in ("omega_w", "omega_s", "gamma_s")]
+# one entry of a per-excited-state triple, the other two left at 2
+RATE_FIELDS += [(RamanParams, {}, f"{name}[1]")
+                for name in ("delta", "omega_diag", "gamma")]
 
 
 @pytest.mark.parametrize("cls,base,name", RATE_FIELDS,
                          ids=[f"{c.__name__}.{n}" for c, _, n in RATE_FIELDS])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_every_scalar_rate_must_be_finite_and_non_negative(cls, base, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a finite non-negative rate"):
-        cls(**{**base, name: value})
-    assert getattr(cls(**{**base, name: 2}), name) == 2.0
+    field, _, entry = name.partition("[")
+
+    def make(v):
+        return cls(**{**base, field: (2.0, v, 2.0) if entry else v})
+
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a finite non-negative rate")):
+        make(value)
+    assert getattr(make(2), field) == ((2.0, 2.0, 2.0) if entry else 2.0)

@@ -8,6 +8,7 @@ from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
 from cavgate.lambda_gate import (
     EffectiveRates,
     LambdaParams,
+    _dfs_block_matrix,
     build_generator_lambda,
     effective_dfs_evolution,
     effective_rates,
@@ -16,7 +17,7 @@ from cavgate.lambda_gate import (
     pulse_duration,
     validate_regime_lambda,
 )
-from cavgate.propagator import no_photon_probability, output_times, plan, propagate
+from cavgate.propagator import expm, no_photon_probability, output_times, plan, propagate
 from cavgate.regime import RegimeWarning
 from oracles import transcribed_generator
 
@@ -106,15 +107,13 @@ def test_effective_rates_that_overflow_name_the_rates():
     assert report.check("omega_much_less_than_g2_over_kappa").ratio == 0.0
 
 def test_effective_dfs_evolution_lossless_pulse_is_a_swap():
-    # with k1 = k2 = 0 the three coupled amplitudes rotate about (1,1,0);
-    # after a full pulse the driven pair is exactly exchanged
+    # with k1 = k2 = 0 the three coupled amplitudes (c_10, c_11, c_a) rotate
+    # about (1,1,0); after a full pulse the driven pair is exactly exchanged
     params = LambdaParams(omega0=0.1, kappa=1.0, gamma=0.0)
     t = pulse_duration(params)
-    zero = EffectiveRates(0.0, 0.0)
-    lossless = effective_dfs_evolution([0, 0, 1, 0, 0], params, t, rates=zero)
-    assert np.abs(lossless - np.array([0, 0, 0, 1, 0])).max() <= 1e-12
-    back = effective_dfs_evolution([0, 0, 0, 1, 0], params, t, rates=zero)
-    assert np.abs(back - np.array([0, 0, 1, 0, 0])).max() <= 1e-12
+    lossless = expm(_dfs_block_matrix(params.omega, EffectiveRates(0.0, 0.0)) * t)
+    assert np.abs(lossless @ [1, 0, 0] - np.array([0, 1, 0])).max() <= 1e-12
+    assert np.abs(lossless @ [0, 1, 0] - np.array([1, 0, 0])).max() <= 1e-12
 
 
 def test_effective_dfs_evolution_against_direct_exponential():
@@ -151,6 +150,20 @@ def test_effective_dfs_evolution_conserved_components():
 def test_effective_dfs_evolution_rejects_an_unusable_time(t):
     with pytest.raises(ValueError, match="^t must be"):
         effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), t)
+
+
+@pytest.mark.parametrize("initial", [[math.nan, 0, 1, 0, 0], [0, 0, 1, 0, math.inf],
+                                     [0, 0, 1, 1j * math.inf, 0]])
+def test_effective_dfs_evolution_rejects_non_finite_amplitudes(initial):
+    # a non-finite amplitude would come back as NaN without an error
+    with pytest.raises(ValueError, match="^initial amplitudes must be finite"):
+        effective_dfs_evolution(initial, LambdaParams(omega0=0.1), 1.0)
+
+
+def test_effective_dfs_evolution_takes_the_physical_rates_only():
+    with pytest.raises(TypeError, match="rates"):
+        effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), 1.0,
+                                rates=EffectiveRates(0.0, 0.0))
 
 
 def test_first_order_gate_matrix():

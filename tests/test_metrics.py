@@ -163,6 +163,9 @@ def test_gate_run_input_validation():
             gate_run("lambda", LambdaParams(omega0=0.1), psi)
     with pytest.raises(ValueError):
         gate_run("raman", RamanParams(), E10, relax_window=True)
+    # only shape (4,) is a qubit state, not any array holding 4 entries
+    with pytest.raises(ValueError, match=r"got shape \(2, 2\)$"):
+        gate_run("lambda", LambdaParams(omega0=0.1), [[0, 0], [1, 0]])
 
 
 def test_gate_run_superposition_input():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate import propagator
+from cavgate import lambda_gate, propagator
 from cavgate.hilbert import ConditionalGenerator, StateVector, basis_state, build_basis
 from cavgate.lambda_gate import (
     EffectiveRates,
     LambdaParams,
     build_generator_lambda,
-    effective_dfs_evolution,
     pulse_duration,
 )
 from cavgate.metrics import gate_run
@@ -438,8 +437,8 @@ def test_decaying_excited_clusters_skip_the_pade_core(monkeypatch, exponentials)
                       relax_window=True),
      "u\\*\\|G t\\|_1 = 3.03e-06 exceeds 1e-06 on a block of 24 states"),
     # no decay and no underflow: 1e12 time units, about 1.6e10 pulses
-    (lambda: effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), 1e12,
-                                     rates=EffectiveRates(0.0, 0.0)),
+    (lambda: expm(lambda_gate._dfs_block_matrix(LambdaParams(omega0=0.1).omega,
+                                                EffectiveRates(0.0, 0.0)) * 1e12),
      "u\\*\\|G t\\|_1 = 7.85e-06 exceeds 1e-06 on a block of 3 states"),
 ], ids=["lambda_1e-12", "lambda_1e-300", "shelving_1e-8", "relax_window_gamma_1e-9",
         "dfs_lossless_1e12"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from cavgate.raman_gate import (
     raman_pulse_duration,
     validate_regime_raman,
 )
-from oracles import align_phase
+from oracles import align_phase, kron_shift_hamiltonian
 
 REFERENCE = dict(delta=1000.0, omega_diag=2.0, omega20=0.05, omega21=0.05)
 
@@ -34,13 +36,17 @@ def test_params_validation():
     assert p.gamma == (0.2, 0.2, 0.2)
 
 
-@pytest.mark.parametrize("name,value", [
-    ("delta", (1.0, 2.0)), ("delta", float("inf")), ("delta", (1.0, 0.0, 1.0)),
-    ("omega_diag", float("nan")), ("omega_diag", -1.0), ("gamma", (0.0, -1.0, 0.0)),
+@pytest.mark.parametrize("name,value,message", [
+    ("delta", (1.0, 2.0), "delta must be a scalar or a 3-tuple"),
+    ("delta", float("inf"), "delta[0] must be a finite non-negative rate, got inf"),
+    ("delta", (1.0, 0.0, 1.0), "delta entries must be positive"),
+    ("omega_diag", float("nan"), "omega_diag[0] must be a finite non-negative rate, got nan"),
+    ("omega_diag", -1.0, "omega_diag[0] must be a finite non-negative rate, got -1.0"),
+    ("gamma", (0.0, -1.0, 0.0), "gamma[1] must be a finite non-negative rate, got -1.0"),
 ], ids=["delta-pair", "delta-inf", "delta-zero", "omega_diag-nan", "omega_diag-negative",
         "gamma-negative"])
-def test_per_state_fields_name_themselves_when_rejected(name, value):
-    with pytest.raises(ValueError, match=f"^{name} "):
+def test_per_state_fields_name_themselves_when_rejected(name, value, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         RamanParams(**{name: value})
 
 
@@ -136,7 +142,8 @@ def test_effective_generator_without_shifts_is_three_level_structure():
     params = reference_params()
     basis = build_basis("lambda", 2)
     view = effective_lambda_view(params)
-    got = build_generator_effective(params, basis, include_shifts=False).matrix
+    shifts = -1j * kron_shift_hamiltonian(view, basis.n_max)
+    got = build_generator_effective(params, basis).matrix - shifts
     expected = -1j * _hamiltonian_matrix(view.g_eff, view.omega0_eff, params.kappa, 0.0, basis)
     assert np.abs(got - expected).max() <= 1e-15
 
@@ -148,7 +155,7 @@ def test_effective_generator_sign_convention_is_a_parity_conjugation():
     params = reference_params()
     basis = build_basis("lambda", 2)
     view = effective_lambda_view(params)
-    got = build_generator_effective(params, basis, include_shifts=False).matrix
+    got = -1j * _hamiltonian_matrix(view.g_eff, view.omega0_eff, params.kappa, 0.0, basis)
 
     from cavgate.lambda_gate import LambdaParams, build_generator_lambda
 
@@ -161,6 +168,11 @@ def test_effective_generator_sign_convention_is_a_parity_conjugation():
               "a": 1, "s": 1, "22": 2}
     parity = np.diag([(-1.0) ** count2[c] for _, c in basis.labels])
     assert np.abs(got - parity @ positive @ parity).max() <= 1e-15
+
+
+def test_effective_generator_always_adds_the_light_shifts():
+    with pytest.raises(TypeError, match="include_shifts"):
+        build_generator_effective(reference_params(), build_basis("lambda", 1), include_shifts=False)
 
 
 def test_effective_generator_rejects_unbalanced_drive():
