@@ -376,33 +376,33 @@ def _gate(scheme: str, point: dict) -> tuple:
 
 
 def cmd_run(values: dict, scheme: str) -> int:
+    """One gate or shelving run: its CSV on stdout, then its regime report on stderr."""
     if scheme != "shelving":
         params, result, report = _gate(scheme, values)
         _emit_csv([_echo_line("run", scheme, params, values, {}), ",".join(CSV_COLUMNS),
                    ",".join(_gate_row(scheme, params, result, values))], values["output"])
-        for line in report.lines():
-            print(line, file=sys.stderr)
-        return report.exit_code
-
-    params = _build_params(scheme, values)
-    report = _validate(scheme, params, values["threshold"])
-    td = dark_time(params)
-    tmax = values["tmax"] or 2.0 * td
-    ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
-    p0s = survival_probability(params, ts)
-    fitted = fit_dark_time(params)
-    gs = values["g"]
-    if values["samples_out"]:
-        with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("t,p0\n")
-            for t, p in zip(ts, p0s):
-                fh.write(f"{_fmt(t / gs)},{_fmt(float(p))}\n")
-    _emit_csv([",".join(CSV_COLUMNS), ",".join(_shelving_row(params, tmax, float(p0s[-1]), values))],
-              values["output"],
-              (_echo_line("run", scheme, params, values, {"tmax": tmax}),
-               f"dark_time_estimate={_fmt(td / gs)}",
-               f"fitted_dark_time={_fmt(fitted / gs)}",
-               f"p0_final={_fmt(float(p0s[-1]))}"))
+    else:
+        params = _build_params(scheme, values)
+        report = _validate(scheme, params, values["threshold"])
+        td = dark_time(params)
+        tmax = values["tmax"] or 2.0 * td
+        ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
+        p0s = survival_probability(params, ts)
+        fitted = fit_dark_time(params)
+        gs = values["g"]
+        if values["samples_out"]:
+            with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write("t,p0\n")
+                for t, p in zip(ts, p0s):
+                    fh.write(f"{_fmt(t / gs)},{_fmt(float(p))}\n")
+        row = _shelving_row(params, tmax, float(p0s[-1]), values)
+        _emit_csv([",".join(CSV_COLUMNS), ",".join(row)], values["output"],
+                  (_echo_line("run", scheme, params, values, {"tmax": tmax}),
+                   f"dark_time_estimate={_fmt(td / gs)}",
+                   f"fitted_dark_time={_fmt(fitted / gs)}",
+                   f"p0_final={_fmt(float(p0s[-1]))}"))
+    for line in report.lines():
+        print(line, file=sys.stderr)
     return report.exit_code
 
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import CNOT_MATRIX, Basis, StateVector, build_basis, qubit_indices, qubit_state
-from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration, validate_regime_lambda
+from .lambda_gate import LambdaParams, build_generator_lambda, pulse_duration
 from .propagator import plan, propagate
-from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration, validate_regime_raman
-from .regime import RegimeReport
+from .raman_gate import RamanParams, build_generator_raman, raman_pulse_duration
 
 __all__ = [
     "CNOT_MATRIX",
@@ -80,14 +79,17 @@ def conditional_fidelity(target: StateVector, final: StateVector) -> tuple:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Outcome of one conditioned gate run (final_state is unnormalized)."""
+    """Outcome of one conditioned gate run (final_state is unnormalized).
+
+    It carries no regime report: ``validate_regime_lambda`` or
+    ``validate_regime_raman`` gives one, at a threshold of the caller's choice.
+    """
 
     p0: float
     fidelity: float
     fidelity_unconditional: float
     gate_time: float
     final_state: StateVector
-    regime: RegimeReport
 
 
 def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
@@ -114,6 +116,8 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
 
     Raises ArithmeticError when an exponential overflows or p0 exceeds 1 by
     more than 1e-9, where the roundoff of the squarings swamps the result.
+    The parameter regime is not checked here: a run outside it is still
+    simulated, and the caller asks ``validate_regime_*`` for the report.
     """
     v = qubit_state(psi)
     if scheme == "lambda":
@@ -122,7 +126,6 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         if relax_window and params.gamma <= 0.0:
             raise ValueError("relax_window requires gamma > 0 (the window length is 5/gamma)")
         t_gate = pulse_duration(params)
-        regime = validate_regime_lambda(params)
         basis = build_basis("lambda", DEFAULT_N_MAX["lambda"] if n_max is None else n_max)
         gen = build_generator_lambda(params, basis)
     elif scheme == "raman":
@@ -131,7 +134,6 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         if relax_window:
             raise ValueError("the relaxation window applies to the lambda scheme only")
         t_gate = raman_pulse_duration(params)
-        regime = validate_regime_raman(params)
         basis = build_basis("raman", DEFAULT_N_MAX["raman"] if n_max is None else n_max)
         gen = build_generator_raman(params, basis)
     else:
@@ -154,5 +156,5 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
                               "the roundoff of the exponentials swamps the result")
     return GateResult(
         p0=p0, fidelity=fid, fidelity_unconditional=fid_unc,
-        gate_time=t_gate, final_state=final, regime=regime,
+        gate_time=t_gate, final_state=final,
     )

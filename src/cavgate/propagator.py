@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +173,8 @@ def plan(generator: ConditionalGenerator, t_total: float,
     The grid step is dt = t_total / (n_outputs * min_substeps); the two
     counts, positive integers, only set which times ``propagate`` accepts:
     a run to t_total is one exponential at exactly t_total whatever they
-    are, at unit roundoff (see ``expm``).  A count that is not an integer
-    raises ValueError.
+    are, at unit roundoff (see ``expm``).  A count that is not an integer,
+    or a dt below the smallest normal float, raises ValueError.
     """
     if not np.all(np.isfinite(generator.matrix)):
         raise ValueError("generator contains non-finite entries")
@@ -182,10 +183,11 @@ def plan(generator: ConditionalGenerator, t_total: float,
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
     n_outputs = _count("n_outputs", n_outputs)
     n_sub = _count("min_substeps", min_substeps)
-    return PropagatorPlan(
-        generator=generator, t_total=t_total, n_outputs=n_outputs,
-        n_sub=n_sub, dt=t_total / (n_outputs * n_sub),
-    )
+    dt = t_total / (n_outputs * n_sub)
+    if dt < sys.float_info.min:
+        raise ValueError(f"t_total={t_total!r} over {n_outputs * n_sub} grid steps gives a step "
+                         f"dt={dt!r} below the smallest normal float")
+    return PropagatorPlan(generator=generator, t_total=t_total, n_outputs=n_outputs, n_sub=n_sub, dt=dt)
 
 
 def _count(name: str, value) -> int:
@@ -240,7 +242,7 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
         )
     ks = np.rint(ts / p.dt).astype(np.int64)
     misfit = np.abs(ts - ks * p.dt)
-    bad = misfit > 1e-6 * max(p.dt, 1e-300)
+    bad = misfit > 1e-6 * p.dt
     if np.any(bad):
         t_bad = float(ts[bad][0])
         raise ValueError(

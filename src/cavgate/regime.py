@@ -14,7 +14,9 @@ block a run; they classify each condition as
     frequencies that break the gate construction).
 
 The thresholds encode how strictly "much smaller" is read; the default of
-0.1 means one order of magnitude.
+0.1 means one order of magnitude.  No simulation routine makes a report:
+the caller that holds the threshold asks ``validate_regime_*`` for one, as
+the command line does once per run at ``--threshold``.
 """
 
 from __future__ import annotations

@@ -12,19 +12,13 @@ gate schemes.  Both drives are taken resonant.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import Basis, ConditionalGenerator, as_integer, basis_state, build_basis, set_rates
 from .propagator import plan, propagate
-from .regime import (
-    DEFAULT_THRESHOLD,
-    RegimeReport,
-    RegimeWarning,
-    ratio_check,
-)
+from .regime import DEFAULT_THRESHOLD, RegimeReport, ratio_check
 
 __all__ = [
     "ShelvingParams",
@@ -85,8 +79,9 @@ def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
     ``t_grid`` is the even grid k*t_max/n from 0 to t_max (as
     ``np.linspace(0, t_max, n + 1)`` gives it), evaluated with one
     exponential, or a single positive time; anything else raises
-    ValueError.  Emits a RegimeWarning when the dark-period conditions
-    omega_w << omega_s^2/gamma_s and omega_w << gamma_s are not met.
+    ValueError.  The dark-period regime is not checked: outside it the
+    survival need not be a single exponential, which
+    ``validate_regime_shelving`` reports.
     """
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     t_max, n = ts.max(initial=0.0), max(ts.size - 1, 1)
@@ -94,14 +89,6 @@ def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
             np.abs(ts - t_max * (np.arange(n + 1) / n)).max() > 1e-6 * t_max / n):
         raise ValueError("t_grid must be the even grid k*t_max/n, k = 0..n, from 0 to a positive "
                          f"finite t_max, or one positive time; got {np.array2string(ts, threshold=6)}")
-    report = validate_regime_shelving(params)
-    if not report.all_pass:
-        warnings.warn(
-            "shelving parameters are outside the dark-period regime; "
-            "survival need not be a single exponential",
-            RegimeWarning,
-            stacklevel=2,
-        )
     p = plan(build_generator_shelving(params), t_max, n_outputs=n)
     return np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
 

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import cavgate
 from cavgate.cli import _OPTIONS, COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
+from cavgate.raman_gate import validate_regime_raman
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +72,41 @@ def test_shelving_survival_and_fit_are_one_exponential_each(capsys, exponentials
     code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
     assert code == 0
     assert len(exponentials.expm) <= 2
+
+
+@pytest.mark.parametrize("threshold,code,head", [
+    ((), 1, "regime report (shelving): 2 warning(s)"),
+    (("--threshold", "10"), 0, "regime report (shelving): all conditions satisfied"),
+])
+def test_shelving_run_outside_the_dark_regime_reports_once(capsys, threshold, code, head):
+    # the run finishes with its row; its one report, at --threshold, goes to stderr
+    # after the CSV, and no Python warning is raised, not even as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, "run", "--scheme", "shelving", "--omega-w", "0.5",
+                                "--omega-s", "1", "--gamma-s", "1", *threshold)
+    assert got == code
+    (row,) = parse_rows(out)
+    assert row["scheme"] == "shelving"
+    assert err.splitlines()[0] == head
+    assert err.count("regime report") == 1
+    assert "RegimeWarning" not in err
+
+
+def test_each_scan_point_is_validated_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_regime_raman(*args, **kwargs)
+
+    for module in (cavgate.cli, cavgate.metrics):
+        monkeypatch.setattr(module, "validate_regime_raman", counted, raising=False)
+    code, out, _ = run_cli(capsys, "scan", "--scheme", "raman", "--sweep", "omega-weak",
+                           "--start", "0.01", "--stop", "0.1", "--count", "20")
+    assert code == 1
+    assert len(parse_rows(out)) == 20
+    assert len(calls) == 20
 
 
 def test_run_shelving_samples_file(capsys, tmp_path):
@@ -318,6 +355,8 @@ INVALID = [
      "matrix exponential overflows"),
     *((("scan", "--scheme", "lambda", *SWEEP[:i], *SWEEP[i + 2:]), "",
        f"missing required parameter {SWEEP[i]!r}") for i in range(0, len(SWEEP), 2)),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "5e-324"), "",
+     "error: t_total=5e-324 over 500 grid steps gives a step dt=0.0 below the smallest normal float"),
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
     (("validate", "--scheme", "raman", "--delta", "0"), "", "delta entries must be positive"),
     (("run", "--scheme", "raman", "--omega22", "1e200"), "", "matrix exponential overflows"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cavgate import metrics
 from cavgate.hilbert import StateVector, basis_state, build_basis
-from cavgate.lambda_gate import LambdaParams
+from cavgate.lambda_gate import LambdaParams, validate_regime_lambda
 from cavgate.metrics import (
     CNOT_MATRIX,
     cnot_target,
@@ -97,13 +97,14 @@ def test_conditional_fidelity_zero_norm_is_nan():
 
 
 def test_gate_run_lambda_reference_point():
-    res = gate_run("lambda", LambdaParams(omega0=0.1, kappa=1.0, gamma=0.0), E10)
+    params = LambdaParams(omega0=0.1, kappa=1.0, gamma=0.0)
+    res = gate_run("lambda", params, E10)
     assert res.fidelity >= 0.99
     assert res.p0 == pytest.approx(0.830, abs=5e-3)
     assert res.gate_time == pytest.approx(62.83185307179586, rel=1e-12)
     assert res.p0 * res.fidelity <= 1.0 + 1e-12
     assert res.fidelity_unconditional == pytest.approx(res.fidelity * res.p0, rel=1e-12)
-    assert res.regime.all_pass
+    assert validate_regime_lambda(params).all_pass
 
 
 def test_gate_run_stationary_input_is_exact():

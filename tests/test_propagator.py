@@ -223,6 +223,20 @@ def test_plan_input_validation():
         plan(bad, 1.0)
 
 
+def test_plan_refuses_a_step_below_the_smallest_normal_float():
+    # at 5e-324 the step rounds to 0 and propagate would divide by it; a subnormal
+    # step would leave too few digits to tell an off-grid time
+    gen = build_generator_shelving(ShelvingParams(0.02, 1.0, 1.0))
+    for t_total in (5e-324, 1e-305):
+        with pytest.raises(ValueError, match=rf"^t_total={t_total!r} over 500 grid steps gives a step "):
+            plan(gen, t_total)
+    p = plan(gen, 1e-305, n_outputs=10)
+    state = basis_state(gen.basis, 0, "A")
+    with pytest.raises(ValueError, match=r"^time 1\.5e-308 is not a multiple of the plan step dt=1e-306;"):
+        propagate(p, state, [1.5e-308])
+    assert propagate(p, state, [1e-306])[0].squared_norm() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_propagate_stationary_configuration():
     # the 01 configuration couples to neither laser nor cavity
     basis = build_basis("lambda", 2)

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from cavgate.hilbert import SchemeMismatchError, build_basis
-from cavgate.regime import RegimeWarning
 from cavgate.shelving import (
     ShelvingParams,
     build_generator_shelving,
@@ -82,11 +81,6 @@ def test_survival_probability_rejects_an_uneven_grid():
     for t_grid in ([0.0, 1.0, 3.0], [0.0, 2500.0, 1000.0], [0, 3, 10], [0.0]):
         with pytest.raises(ValueError, match=contract):
             survival_probability(params, t_grid)
-
-
-def test_survival_warns_outside_dark_regime():
-    with pytest.warns(RegimeWarning):
-        survival_probability(ShelvingParams(0.9, 1.0, 1.0), [1.0])
 
 
 def test_fitted_dark_time_matches_estimate():
