@@ -1,23 +1,22 @@
 """Propagation of states under a time-independent non-Hermitian generator.
 
-The generator never changes during a run, so ``propagate`` evaluates the
-exponentials once per distinct gap between requested times, each over an
-exact fraction of the run (a gate run is one exponential at exactly its
-length), on the block of states reachable from the initial state's
-support; cost does not grow with the pulse length.
-
-A block whose diagonal falls into well-separated clusters (the far-detuned
-Raman excited states: none, one or two atoms excited) is first
-block-diagonalised exactly, one end cluster at a time: a Riccati equation
-for the invariant subspace, then a Sylvester equation for its complement,
-each solved by a contracting fixed-point sweep (Stewart, SIAM Rev. 15, 727
-(1973); Bavely & Stewart, SIAM J. Numer. Anal. 16, 359 (1979)).  Each
-cluster is then exponentiated on its own, shifted by the mean imaginary
-part of its diagonal (a pure phase, so nothing overflows), so the
-squarings see norms of order the couplings times the pulse length rather
-than the detuning times it, and their roundoff no longer dominates the
-result.  A block that does not split, or whose sweeps fail to contract
-to unit roundoff, is exponentiated whole, as one matrix.
+The generator never changes during a run, so ``propagate`` works in two
+steps.  It decomposes the generator once: it takes the block of states
+reachable from the initial state's support and, where the block's diagonal
+falls into well-separated clusters (the far-detuned Raman excited states:
+none, one or two atoms excited), block-diagonalises it exactly, one end
+cluster at a time: a Riccati equation for the invariant subspace, then a
+Sylvester equation for its complement, each solved by a contracting
+fixed-point sweep (Stewart, SIAM Rev. 15, 727 (1973); Bavely & Stewart,
+SIAM J. Numer. Anal. 16, 359 (1979)).  A block that does not split, or
+whose sweeps fail to contract to unit roundoff, is one leaf, whole.  It
+then applies the leaf exponentials, taken once per distinct gap between
+requested times, each over an exact fraction of the run (a gate run is one
+exponential at exactly its length), so cost does not grow with the pulse
+length.  Each leaf is exponentiated shifted by the mean imaginary part of
+its diagonal (a pure phase, so nothing overflows): the squarings see norms
+of order the couplings times the pulse length rather than the detuning
+times it, and their roundoff no longer dominates the result.
 
 The exponential is scaling and squaring with the diagonal degree-13 Pade
 core (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the matrix halved until its
@@ -235,7 +234,7 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
         raise ValueError(f"t_grid must hold finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("t_grid must be non-decreasing")
-    if ts[0] < -1e-12 or ts[-1] > p.t_total * (1.0 + 1e-12):
+    if ts[0] < -1e-12 * p.t_total or ts[-1] > p.t_total * (1.0 + 1e-12):
         raise ValueError(
             f"t_grid must lie within [0, t_total={p.t_total!r}], "
             f"got range [{float(ts[0])!r}, {float(ts[-1])!r}]"
@@ -321,21 +320,63 @@ def _split(g: np.ndarray, s: int):
     return x, y, a_eff_mu + mu * np.eye(s), d - xb
 
 
-def _decouple(g: np.ndarray) -> tuple:
-    """Exact block diagonalisation of g by diagonal cluster.
+@dataclass(frozen=True)
+class _Decomposition:
+    """The reachable block of a generator, split exactly by diagonal cluster.
 
-    Returns ``(order, splits, leaves)``: the states of g regrouped cluster
-    by cluster; one ``(start, stop, X, Y)`` per split, outermost first,
-    where [start, stop) is the cluster split off the states from ``start``
-    on; and one ``(slice, generator, omega)`` per diagonal block, with omega
-    the mean imaginary part of its diagonal.  A g that does not split is
-    one leaf, in its own order, with omega = 0.
+    ``block`` holds the full-space indices of the block in leaf order;
+    ``splits`` one ``(start, stop, X, Y)`` per split, outermost first, where
+    [start, stop) is the cluster split off the states from ``start`` on;
+    ``leaves`` one ``(slice, generator, omega)`` per diagonal block, with
+    omega the mean imaginary part of its diagonal.  All maps act on axis 0.
     """
+
+    block: np.ndarray
+    splits: list
+    leaves: list
+
+    def into(self, v: np.ndarray) -> np.ndarray:
+        """Full-space amplitudes v in decoupled coordinates: b = v_f - X v_s,
+        then a = v_s - Y b."""
+        cur = v[self.block]
+        for start, stop, x, y in self.splits:
+            cur[stop:] -= x @ cur[start:stop]
+            cur[start:stop] -= y @ cur[stop:]
+        return cur
+
+    def exps(self, t: float) -> list:
+        """exp(m t) of each leaf, as e^(i omega t) exp((m - i omega) t).  A
+        whole block has omega = 0: expm sees exactly m t, and the factor
+        1 + 0j changes at most the sign of a zero."""
+        es = []
+        for _, m, omega in self.leaves:
+            shifted = m * t
+            shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
+            es.append(np.exp(1j * omega * t) * expm(shifted))
+        return es
+
+    def out(self, cur: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """Decoupled coordinates back, innermost split first (v_s = a + Y b,
+        v_f = b + X v_s), scattered into zeros shaped like ``like``."""
+        v = cur.copy()
+        for start, stop, x, y in reversed(self.splits):
+            v[start:stop] += y @ v[stop:]
+            v[stop:] += x @ v[start:stop]
+        full = np.zeros_like(like)
+        full[self.block] = v
+        return full
+
+
+def _decompose(g: np.ndarray, support: np.ndarray) -> _Decomposition:
+    """The states g connects to ``support`` (a boolean mask), split off one
+    end cluster at a time for as long as ``_split`` succeeds.  A block that
+    does not split is one leaf, in reachable order, with omega = 0."""
+    block = _reachable(g, support)
+    g = g[np.ix_(block, block)]
     groups = _clusters(g)
     order = np.concatenate(groups)
     rest = g[np.ix_(order, order)]
-    splits, leaves = [], []
-    start = 0
+    splits, leaves, start = [], [], 0
     for group in groups[:-1]:
         parts = _split(rest, len(group))
         if parts is None:
@@ -346,21 +387,9 @@ def _decouple(g: np.ndarray) -> tuple:
         leaves.append((slice(start, stop), a_eff, a_eff.diagonal().imag.mean()))
         start = stop
     if not splits:
-        return np.arange(g.shape[0]), [], [(slice(None), g, 0.0)]
+        return _Decomposition(block, [], [(slice(None), g, 0.0)])
     leaves.append((slice(start, None), rest, rest.diagonal().imag.mean()))
-    return order, splits, leaves
-
-
-def _leaf_expm(m: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """exp(m t) as e^(i omega t) exp((m - i omega) t).
-
-    A block left whole has omega = 0: subtracting 0j leaves every entry of
-    m t as it is, so expm sees exactly m t, and the factor 1 + 0j changes at
-    most the sign of a zero.
-    """
-    shifted = m * t
-    shifted.reshape(-1)[::m.shape[0] + 1] -= 1j * omega * t
-    return np.exp(1j * omega * t) * expm(shifted)
+    return _Decomposition(block[order], splits, leaves)
 
 
 def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
@@ -369,36 +398,26 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     Squared norms of the returned states are the no-photon probabilities.
     Grid times must be multiples of the plan step, in increasing order,
     within [0, t_total]; a gap of k steps spans t_total * (k / steps).
+    Initial amplitudes must be finite.
     """
     if state0.basis != p.generator.basis:
         raise ValueError("state basis does not match the generator basis")
     ks = _grid_steps(p, t_grid)
     amps = state0.amplitudes
-    block = _reachable(p.generator.matrix, amps != 0.0)
-    order, splits, leaves = _decouple(p.generator.matrix[np.ix_(block, block)])
-    block = block[order]
-    # into decoupled coordinates: b = v_f - X v_s, then a = v_s - Y b
-    cur = amps[block]
-    for start, stop, x, y in splits:
-        cur[stop:] -= x @ cur[start:stop]
-        cur[start:stop] -= y @ cur[stop:]
-    exps = {}
-    states = []
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise ValueError(f"initial amplitude at {state0.basis.labels[bad[0]]!r} is not finite, "
+                         f"got {complex(amps[bad[0]])!r}")
+    d = _decompose(p.generator.matrix, amps != 0.0)
+    cur = d.into(amps)
+    exps, states = {}, []
     for gap in np.diff(ks, prepend=0):
         if gap:
             if gap not in exps:
-                t = p.t_total * (gap / (p.n_outputs * p.n_sub))
-                exps[gap] = [_leaf_expm(m, omega, t) for _, m, omega in leaves]
-            for (part, _, _), e in zip(leaves, exps[gap]):
+                exps[gap] = d.exps(p.t_total * (gap / (p.n_outputs * p.n_sub)))
+            for (part, _, _), e in zip(d.leaves, exps[gap]):
                 cur[part] = e @ cur[part]
-        # and back, innermost split first: v_s = a + Y b, v_f = b + X v_s
-        v = cur.copy()
-        for start, stop, x, y in reversed(splits):
-            v[start:stop] += y @ v[stop:]
-            v[stop:] += x @ v[start:stop]
-        out = np.zeros_like(amps)
-        out[block] = v
-        states.append(StateVector(state0.basis, out))
+        states.append(StateVector(state0.basis, d.out(cur, amps)))
     return states
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -284,6 +286,31 @@ def test_propagate_grid_validation():
             propagate(p, state, t_grid)
 
 
+def test_propagate_refuses_times_before_zero_on_a_short_run():
+    # an absolute slack of 1e-12 took 99 steps backwards here, to p0 > 1
+    basis = build_basis("shelving", 0)
+    gen = ConditionalGenerator(basis, np.diag([-1.0, -2.0, -3.0]).astype(complex))
+    p = plan(gen, 1e-14, n_outputs=1)
+    state = basis_state(basis, 0, "A")
+    with pytest.raises(ValueError, match=r"got range \[-9\.9e-13, 1e-14\]$"):
+        propagate(p, state, [-9.9e-13, 1e-14])
+    # the slack is relative to t_total: -1e-27 still snaps onto time 0
+    assert np.array_equal(propagate(p, state, [-1e-27])[0].amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"])
+def test_propagate_refuses_non_finite_initial_amplitudes(bad):
+    basis = build_basis("lambda", 3)
+    params = LambdaParams(omega0=0.1)
+    p = plan(build_generator_lambda(params, basis), pulse_duration(params))
+    amps = basis_state(basis, 0, "10").amplitudes
+    amps[basis.index(1, "01")] = bad
+    amps[basis.index(0, "10")] = bad
+    with pytest.raises(ValueError, match=rf"^initial amplitude at \(0, '10'\) is not finite, got "
+                                         rf"{re.escape(repr(complex(bad)))}$"):
+        propagate(p, StateVector(basis, amps), [p.t_total])
+
+
 def test_propagate_rejects_foreign_basis():
     basis = build_basis("lambda", 2)
     other = build_basis("lambda", 3)
@@ -417,6 +444,37 @@ def test_decoupled_output_grid_matches_scipy(exponentials):
     for t, s in zip(output_times(p), traj):
         assert np.abs(s.amplitudes - ref).max() <= 1e-12 + 2.0 ** -53 * g_norm * t
         ref = step @ ref
+
+
+def test_decomposition_block_diagonalises_the_reachable_block():
+    basis = build_basis("raman", 2)
+    g = build_generator_raman(RamanParams(omega20=0.05, omega21=0.05), basis).matrix
+    v = basis_state(basis, 0, "10").amplitudes
+    d = propagator._decompose(g, v != 0.0)
+    assert len(d.block) == 72
+    assert [m.shape[0] for _, m, _ in d.leaves] == [18, 36, 18]
+    assert len(d.splits) == 2
+    # G out(c) = out(L c), L the leaves, for three columns at once (axis 0)
+    rng = np.random.default_rng(21)
+    c = rng.normal(size=(72, 3)) + 1j * rng.normal(size=(72, 3))
+    lc = np.concatenate([m @ c[part] for part, m, _ in d.leaves])
+    like = np.zeros((len(v), 3), dtype=complex)
+    g_norm = np.linalg.norm(g[np.ix_(d.block, d.block)], 1)
+    assert np.abs(g @ d.out(c, like) - d.out(lc, like)).max() <= 1e-13 * g_norm * np.abs(c).max()
+    w = np.zeros_like(v)
+    w[d.block] = rng.normal(size=72) + 1j * rng.normal(size=72)
+    assert np.abs(d.out(d.into(w), w) - w).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_outputs", [1, 10])
+def test_a_trajectory_decomposes_its_block_once(monkeypatch, n_outputs):
+    real, calls = propagator._split, []
+    monkeypatch.setattr(propagator, "_split", lambda g, s: calls.append(s) or real(g, s))
+    params = RamanParams(omega20=0.05, omega21=0.05)
+    basis = build_basis("raman", 2)
+    p = plan(build_generator_raman(params, basis), raman_pulse_duration(params), n_outputs=n_outputs)
+    propagate(p, basis_state(basis, 0, "10"), output_times(p))
+    assert calls == [18, 36]
 
 
 def test_decaying_excited_clusters_skip_the_pade_core(monkeypatch, exponentials):
