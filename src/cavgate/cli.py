@@ -23,7 +23,7 @@ from .hilbert import QUBIT_CONFIGS, SCHEMES
 from .lambda_gate import LambdaParams, validate_regime_lambda
 from .metrics import DEFAULT_N_MAX, gate_run
 from .propagator import DEFAULT_OUTPUTS
-from .raman_gate import RamanParams, effective_lambda_view, validate_regime_raman
+from .raman_gate import RamanParams, validate_regime_raman
 from .regime import DEFAULT_THRESHOLD
 from .shelving import (
     ShelvingParams,
@@ -161,12 +161,6 @@ _OPTIONS = (
 )
 
 _PARAMS = {"lambda": LambdaParams, "raman": RamanParams, "shelving": ShelvingParams}
-# CLI defaults that differ from the dataclass defaults, from the fields resolved before them
-_CLI_DEFAULTS = {
-    "raman": {"omega21": lambda kw: kw["omega20"],
-              "kappa": lambda kw: abs(effective_lambda_view(RamanParams(**kw)).g_eff)},
-    "shelving": {"omega_s": lambda kw: 1.0, "gamma_s": lambda kw: 1.0},
-}
 
 
 def _build_parser() -> tuple:
@@ -285,8 +279,7 @@ def _reject_unused(values: dict, sources: dict, command: str, scheme: str) -> No
 
 def _build_params(scheme: str, values: dict):
     """The scheme's parameter dataclass from the resolved ``values``."""
-    cls, cli_defaults = _PARAMS[scheme], _CLI_DEFAULTS.get(scheme, {})
-    kw = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in cli_defaults}
+    kw = {f.name: f.default for f in dataclasses.fields(_PARAMS[scheme])}
     for row in (r for r in _OPTIONS if r.field and scheme in r.schemes):
         value = values[row.dest]
         if value is not None and row.j is not None:  # one entry of the triple its broadcast row set
@@ -295,10 +288,7 @@ def _build_params(scheme: str, values: dict):
             kw[row.field] = (value,) * 3 if isinstance(kw.get(row.field), tuple) else value
         elif kw.get(row.field) is dataclasses.MISSING:
             raise ValueError(f"missing required parameter {row.flag!r} for the {scheme} scheme")
-    for field, default in cli_defaults.items():
-        if field not in kw:
-            kw[field] = default(kw)
-    return cls(**kw)
+    return _PARAMS[scheme](**kw)
 
 
 def _join_per_j(vals: tuple, gs: float) -> str:

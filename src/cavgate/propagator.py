@@ -234,12 +234,14 @@ def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
         raise ValueError(f"t_grid must hold finite times, got {float(ts[~np.isfinite(ts)][0])!r}")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("t_grid must be non-decreasing")
-    if ts[0] < -1e-12 * p.t_total or ts[-1] > p.t_total * (1.0 + 1e-12):
+    with np.errstate(over="ignore"):  # an overflowing ts/dt is out of range
+        steps = np.rint(ts / p.dt)
+    if not (0.0 <= steps[0] and steps[-1] <= p.n_outputs * p.n_sub):
         raise ValueError(
             f"t_grid must lie within [0, t_total={p.t_total!r}], "
             f"got range [{float(ts[0])!r}, {float(ts[-1])!r}]"
         )
-    ks = np.rint(ts / p.dt).astype(np.int64)
+    ks = steps.astype(np.int64)
     misfit = np.abs(ts - ks * p.dt)
     bad = misfit > 1e-6 * p.dt
     if np.any(bad):

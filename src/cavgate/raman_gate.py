@@ -76,24 +76,30 @@ class RamanParams:
 
     ``delta``, ``omega_diag`` and ``gamma`` hold one entry per excited state
     (j = 0, 1, 2); scalars broadcast to all three.  Detunings must be
-    positive, everything else non-negative.
+    positive, everything else non-negative.  Defaults: g = 1, delta = 1000,
+    omega_diag = 2, omega20 = 0.05, gamma = 0, omega21 = omega20 (the balanced
+    drive the gate needs) and kappa = |g_eff| = g omega_22 / (2 delta_2).
     """
 
     g: float = 1.0
-    kappa: float = 1e-3
+    kappa: float | None = None
     delta: tuple = (1000.0, 1000.0, 1000.0)
     omega_diag: tuple = (2.0, 2.0, 2.0)
     omega20: float = 0.05
-    omega21: float = 0.05
+    omega21: float | None = None
     gamma: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _triple(self.delta, "delta"))
         object.__setattr__(self, "omega_diag", _triple(self.omega_diag, "omega_diag"))
         object.__setattr__(self, "gamma", _triple(self.gamma, "gamma"))
-        set_rates(self, ("g", "kappa", "omega20", "omega21"))
+        if self.omega21 is None:
+            object.__setattr__(self, "omega21", self.omega20)
+        set_rates(self, [n for n in ("g", "kappa", "omega20", "omega21") if getattr(self, n) is not None])
         if 0.0 in self.delta:
             raise ValueError(f"delta entries must be positive, got {self.delta!r}")
+        if self.kappa is None:  # after the delta check, so that g_eff is a number
+            object.__setattr__(self, "kappa", as_rate("kappa", abs(effective_lambda_view(self).g_eff)))
 
 
 @dataclass(frozen=True)

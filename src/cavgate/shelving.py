@@ -32,11 +32,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShelvingParams:
-    """Weak drive, strong drive and upper-level decay rate, in units of g."""
+    """Weak drive (required), strong drive and upper-level decay (default 1), in units of g."""
 
     omega_w: float
-    omega_s: float
-    gamma_s: float
+    omega_s: float = 1.0
+    gamma_s: float = 1.0
 
     def __post_init__(self):
         set_rates(self, ("omega_w", "omega_s", "gamma_s"))

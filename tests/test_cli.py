@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 import cavgate
-from cavgate.cli import _OPTIONS, COMMANDS, CSV_COLUMNS, SCHEMES, _build_parser, main
-from cavgate.raman_gate import validate_regime_raman
+from cavgate.cli import _OPTIONS, COMMANDS, CSV_COLUMNS, SCHEMES, _build_params, _build_parser, _fmt, main
+from cavgate.lambda_gate import LambdaParams
+from cavgate.metrics import gate_run
+from cavgate.propagator import DEFAULT_OUTPUTS
+from cavgate.raman_gate import RamanParams, validate_regime_raman
+from cavgate.shelving import ShelvingParams, dark_time, survival_probability
 
 
 def run_cli(capsys, *argv):
@@ -396,6 +400,35 @@ def test_missing_required_parameter(capsys):
     code, _, err = run_cli(capsys, "run", "--scheme", "lambda")
     assert code == 2
     assert "omega0" in err
+
+
+@pytest.mark.parametrize("scheme,cls,dest,value", [
+    ("lambda", LambdaParams, "omega0", 0.1),
+    ("raman", RamanParams, "omega20", 0.01),
+    ("shelving", ShelvingParams, "omega_w", 0.02),
+])
+def test_unset_rates_take_the_dataclass_defaults(scheme, cls, dest, value):
+    values = dict.fromkeys((row.dest for row in _OPTIONS), None)
+    values[dest] = value
+    assert _build_params(scheme, values) == cls(**{dest: value})
+
+
+@pytest.mark.parametrize("flag,value,params", [
+    ("--omega20", "0.01", {"omega20": 0.01}),
+    ("--delta", "500", {"delta": 500.0}),
+])
+def test_raman_cli_and_library_runs_spelled_alike_agree_bitwise(capsys, flag, value, params):
+    _, out, _ = run_cli(capsys, "run", "--scheme", "raman", flag, value)
+    (row,) = parse_rows(out)
+    result = gate_run("raman", RamanParams(**params), [0.0, 0.0, 1.0, 0.0])
+    assert (row["p0"], row["fidelity_conditional"]) == (_fmt(result.p0), _fmt(result.fidelity))
+
+
+def test_shelving_cli_and_library_runs_spelled_alike_agree_bitwise(capsys):
+    _, out, _ = run_cli(capsys, "run", "--scheme", "shelving", "--omega-w", "0.02")
+    params = ShelvingParams(0.02)
+    ts = np.linspace(0.0, 2.0 * dark_time(params), DEFAULT_OUTPUTS + 1)
+    assert f"p0_final={_fmt(float(survival_probability(params, ts)[-1]))}" in out.splitlines()
 
 
 def test_unwritable_output_path(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,21 @@ def test_propagate_refuses_times_before_zero_on_a_short_run():
     assert np.array_equal(propagate(p, state, [-1e-27])[0].amplitudes, state.amplitudes)
 
 
+@pytest.mark.parametrize("t_grid", [[-9e-13, 1.0 + 9e-13], [0.0, 1.0 + 1e-13], [0.0, 1e308]],
+                         ids=["nine-steps-each-side", "one-step-past", "overflowing-steps"])
+def test_propagate_refuses_whole_steps_outside_a_fine_grid(t_grid):
+    # on 1e13 steps a relative slack of 1e-12 covered 10 whole steps beyond
+    # each end: [-9e-13, 1 + 9e-13] gave p0 = 1 + 1.8e-12
+    basis = build_basis("shelving", 0)
+    gen = ConditionalGenerator(basis, np.diag([-1.0, -2.0, -3.0]).astype(complex))
+    p = plan(gen, 1.0, n_outputs=10**13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e308/dt overflows, and must only read as out of range
+        with pytest.raises(ValueError, match=r"^t_grid must lie within \[0, t_total=1\.0\], got range "
+                                             + re.escape(f"[{t_grid[0]!r}, {t_grid[1]!r}]") + "$"):
+            propagate(p, basis_state(basis, 0, "A"), t_grid)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-infj"])
 def test_propagate_refuses_non_finite_initial_amplitudes(bad):
     basis = build_basis("lambda", 3)
@@ -389,7 +405,7 @@ def _gate_run_and_whole_block(params):
 def test_near_resonance_raman_is_one_exponential_of_the_whole_block(exponentials):
     # at delta=5 the excited states lie within the coupling spread of the
     # ground states: no cluster splits off, and the run is the undecoupled one
-    final, whole = _gate_run_and_whole_block(RamanParams(delta=5.0))
+    final, whole = _gate_run_and_whole_block(RamanParams(kappa=1e-3, delta=5.0))
     assert exponentials.expm == [72]
     assert np.array_equal(final, whole)
 
@@ -406,7 +422,7 @@ def test_refused_split_falls_back_to_the_whole_block(monkeypatch, exponentials):
     # at _SEP = 2 the delta = 30 block cuts 18/36/18, but the first Riccati
     # sweep estimates a contraction q = 0.72 >= 1/2, so the split is refused
     monkeypatch.setattr(propagator, "_SEP", 2.0)
-    final, whole = _gate_run_and_whole_block(RamanParams(delta=30.0))
+    final, whole = _gate_run_and_whole_block(RamanParams(kappa=1e-3, delta=30.0))
     assert exponentials.expm == [72]
     assert np.array_equal(final, whole)
 

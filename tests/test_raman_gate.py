@@ -5,6 +5,7 @@ import pytest
 
 from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
 from cavgate.lambda_gate import _hamiltonian_matrix
+from cavgate.metrics import gate_run
 from cavgate.propagator import output_times, plan, propagate
 from cavgate.raman_gate import (
     RamanParams,
@@ -36,6 +37,21 @@ def test_params_validation():
     assert p.gamma == (0.2, 0.2, 0.2)
 
 
+def test_omega21_defaults_to_omega20_and_a_given_value_is_kept():
+    # the gate needs a balanced drive: with omega21 = 0.05 atom 1 was driven
+    # five times harder than atom 2, and F was 0.0147
+    p = RamanParams(omega20=0.01)
+    assert p.omega21 == 0.01
+    assert gate_run("raman", p, [0.0, 0.0, 1.0, 0.0]).fidelity == pytest.approx(0.99993, abs=1e-5)
+    assert RamanParams(omega20=0.01, omega21=0.02).omega21 == 0.02
+
+
+def test_kappa_defaults_to_the_effective_cavity_coupling():
+    p = RamanParams(delta=500.0)
+    assert p.kappa == abs(effective_lambda_view(p).g_eff) == 0.002
+    assert RamanParams(delta=500.0, kappa=1e-3).kappa == 1e-3
+
+
 @pytest.mark.parametrize("name,value,message", [
     ("delta", (1.0, 2.0), "delta must be a scalar or a 3-tuple"),
     ("delta", float("inf"), "delta[0] must be a finite non-negative rate, got inf"),
@@ -51,7 +67,7 @@ def test_per_state_fields_name_themselves_when_rejected(name, value, message):
 
 
 def test_ground_configurations_stationary_without_lasers():
-    params = RamanParams(omega_diag=0.0, omega20=0.0, omega21=0.0, gamma=0.0)
+    params = RamanParams(kappa=1e-3, omega_diag=0.0, omega20=0.0, omega21=0.0, gamma=0.0)
     basis = build_basis("raman", 1)
     g = build_generator_raman(params, basis).matrix
     for x1 in "012":
@@ -275,8 +291,6 @@ def test_fidelity_insensitive_to_decay_but_not_to_drive():
     # conditional fidelity barely moves with the excited-state decay (the
     # whole point of the Raman construction) but falls once the weak drive
     # leaves the validated range
-    from cavgate.metrics import gate_run
-
     psi = np.array([0, 0, 1, 0], dtype=complex)
     f_low = gate_run("raman", reference_params(gamma=0.0), psi).fidelity
     f_high = gate_run("raman", reference_params(gamma=0.5), psi).fidelity

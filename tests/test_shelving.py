@@ -24,6 +24,10 @@ def test_generator_matrix():
     assert np.abs(h - expected).max() <= 1e-15
 
 
+def test_strong_drive_and_decay_default_to_one():
+    assert ShelvingParams(0.02) == ShelvingParams(0.02, 1.0, 1.0)
+
+
 def test_generator_scheme_check():
     with pytest.raises(SchemeMismatchError):
         build_generator_shelving(ShelvingParams(0.1, 1.0, 1.0), build_basis("lambda", 1))
