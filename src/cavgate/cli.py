@@ -3,9 +3,9 @@ and convergence studies, with deterministic CSV output.
 
 All rates are entered in units of the atom-cavity coupling g.  The ``--g``
 flag only relabels the output units (rates are multiplied, times divided);
-it never changes the physics.  Exit codes: 0 success, 1 the run finished
-but the regime report carries warnings, 2 invalid input or a regime
-violation.
+it never changes the physics, and a value it makes infinite or zero is
+invalid input.  Exit codes: 0 success, 1 the run finished but the regime
+report carries warnings, 2 invalid input or a regime violation.
 """
 
 from __future__ import annotations
@@ -291,8 +291,16 @@ def _build_params(scheme: str, values: dict):
     return _PARAMS[scheme](**kw)
 
 
+def _relabel(value: float, gs: float, time: bool = False) -> float:
+    """A rate times ``--g``, or a time divided by it; ValueError if that is not finite or zeroes it."""
+    out = value / gs if time else value * gs
+    if not math.isfinite(out) or (out == 0.0) != (value == 0.0):
+        raise ValueError(f"--g {gs!r} relabels the {'time' if time else 'rate'} {value!r} as {out!r}")
+    return out
+
+
 def _join_per_j(vals: tuple, gs: float) -> str:
-    scaled = [v * gs for v in vals]
+    scaled = [_relabel(v, gs) for v in vals]
     if all(v == scaled[0] for v in scaled):
         return _fmt(scaled[0])
     return ";".join(_fmt(v) for v in scaled)
@@ -314,23 +322,23 @@ def _echo_line(command: str, scheme: str, params, values: dict, extra: dict) -> 
 def _gate_row(scheme: str, params, result, values: dict) -> list:
     gs = values["g"]
     if scheme == "lambda":
-        weak, gamma, delta, strong = params.omega0 * gs, params.gamma * gs, None, None
+        weak, gamma, delta, strong = _relabel(params.omega0, gs), _relabel(params.gamma, gs), None, None
     else:
         weak = _join_per_j((params.omega20, params.omega21), gs)
         gamma, delta, strong = (_join_per_j(v, gs)
                                 for v in (params.gamma, params.delta, params.omega_diag))
     return [
-        scheme, _fmt(weak), _fmt(params.kappa * gs), _fmt(gamma), _fmt(gs), _fmt(delta), _fmt(strong),
-        str(values["n_max"]), _fmt(result.gate_time / gs), _fmt(result.p0),
-        _fmt(result.fidelity), _fmt(result.fidelity_unconditional),
+        scheme, _fmt(weak), _fmt(_relabel(params.kappa, gs)), _fmt(gamma), _fmt(gs), _fmt(delta),
+        _fmt(strong), str(values["n_max"]), _fmt(_relabel(result.gate_time, gs, time=True)),
+        _fmt(result.p0), _fmt(result.fidelity), _fmt(result.fidelity_unconditional),
     ]
 
 
 def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, values: dict) -> list:
     gs = values["g"]
     return [
-        "shelving", _fmt(params.omega_w * gs), "", _fmt(params.gamma_s * gs),
-        _fmt(gs), "", _fmt(params.omega_s * gs), "", _fmt(tmax / gs),
+        "shelving", _fmt(_relabel(params.omega_w, gs)), "", _fmt(_relabel(params.gamma_s, gs)),
+        _fmt(gs), "", _fmt(_relabel(params.omega_s, gs)), "", _fmt(_relabel(tmax, gs, time=True)),
         _fmt(p0_final), "", "",
     ]
 
@@ -378,19 +386,18 @@ def cmd_run(values: dict, scheme: str) -> int:
         tmax = values["tmax"] or 2.0 * td
         ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
         p0s = survival_probability(params, ts)
-        fitted = fit_dark_time(params)
         gs = values["g"]
-        if values["samples_out"]:
-            with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
-                fh.write("t,p0\n")
-                for t, p in zip(ts, p0s):
-                    fh.write(f"{_fmt(t / gs)},{_fmt(float(p))}\n")
         row = _shelving_row(params, tmax, float(p0s[-1]), values)
-        _emit_csv([",".join(CSV_COLUMNS), ",".join(row)], values["output"],
-                  (_echo_line("run", scheme, params, values, {"tmax": tmax}),
-                   f"dark_time_estimate={_fmt(td / gs)}",
-                   f"fitted_dark_time={_fmt(fitted / gs)}",
-                   f"p0_final={_fmt(float(p0s[-1]))}"))
+        before = (_echo_line("run", scheme, params, values, {"tmax": tmax}),
+                  f"dark_time_estimate={_fmt(_relabel(td, gs, time=True))}",
+                  f"fitted_dark_time={_fmt(_relabel(fit_dark_time(params), gs, time=True))}",
+                  f"p0_final={_fmt(float(p0s[-1]))}")
+        if values["samples_out"]:
+            samples = [f"{_fmt(_relabel(float(t), gs, time=True))},{_fmt(float(p))}\n"
+                       for t, p in zip(ts, p0s)]
+            with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
+                fh.write("t,p0\n" + "".join(samples))
+        _emit_csv([",".join(CSV_COLUMNS), ",".join(row)], values["output"], before)
     for line in report.lines():
         print(line, file=sys.stderr)
     return report.exit_code

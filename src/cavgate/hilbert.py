@@ -16,7 +16,7 @@ Three level schemes are supported:
     A single three-level atom with states A, B, C and no cavity mode.
 
 Units: hbar = 1 and every rate is expressed in units of the atom-cavity
-coupling g, so g = 1 unless stated otherwise.  Basis ordering is photon-
+coupling g, which no parameter sets (g = 1).  Basis ordering is photon-
 number major with a fixed configuration order inside each photon sector.
 ``CNOT_MATRIX`` is the target gate over ``QUBIT_CONFIGS``, the zero-photon
 qubit states of lambda and raman.
@@ -102,11 +102,7 @@ DFS_LABELS = ((0, "00"), (0, "01"), (0, "10"), (0, "11"), (0, "a"))
 
 SCHEMES = ("lambda", "raman", "shelving")
 
-_CONFIGS = {
-    "lambda": LAMBDA_CONFIGS,
-    "raman": RAMAN_CONFIGS,
-    "shelving": SHELVING_CONFIGS,
-}
+_CONFIGS = dict(zip(SCHEMES, (LAMBDA_CONFIGS, RAMAN_CONFIGS, SHELVING_CONFIGS)))
 
 
 class SchemeMismatchError(ValueError):
@@ -156,7 +152,7 @@ def qubit_state(psi) -> np.ndarray:
 class Basis:
     """Ordered, truncated basis of (photon number, atomic configuration) labels.
 
-    Immutable after construction; safe to share across concurrent tasks.
+    Immutable after construction.
     """
 
     scheme: str
@@ -191,8 +187,9 @@ def build_basis(scheme: str, n_max: int) -> Basis:
     """Construct the deterministic basis for a level scheme.
 
     Dimensions: (n_max+1)*9 for lambda, (n_max+1)*36 for raman, and always 3
-    for shelving (no cavity mode, so the photon cutoff is irrelevant there).
-    Memoised: equal arguments return the same (immutable) ``Basis``.
+    for shelving, which has no cavity mode: its cutoff is checked, then
+    stored as 0, so all shelving bases are equal.  Memoised: equal arguments
+    return the same (immutable) ``Basis``.
 
     Parameters
     ----------
@@ -205,9 +202,8 @@ def build_basis(scheme: str, n_max: int) -> Basis:
     n_max = as_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    configs = _CONFIGS[scheme]
-    sectors = 1 if scheme == "shelving" else n_max + 1
-    labels = tuple((n, c) for n in range(sectors) for c in configs)
+    n_max = 0 if scheme == "shelving" else n_max
+    labels = tuple((n, c) for n in range(n_max + 1) for c in _CONFIGS[scheme])
     index = {lab: i for i, lab in enumerate(labels)}
     return Basis(scheme=scheme, n_max=n_max, labels=labels, _index=index)
 
@@ -300,9 +296,8 @@ def dfs_projector(basis: Basis) -> Operator:
     """
     basis.require_scheme("lambda")
     p = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for n, c in DFS_LABELS:
-        i = basis.index(n, c)
-        p[i, i] = 1.0
+    idx = [basis.index(n, c) for n, c in DFS_LABELS]
+    p[idx, idx] = 1.0
     return Operator(basis, p)
 
 

@@ -64,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LambdaParams:
-    """Physical rates of the three-level scheme, in units of g.
+    """Physical rates of the three-level scheme, in units of the coupling g.
 
     omega0 is the Rabi frequency of both lasers; the reduced Rabi frequency
     omega0/sqrt(2) is what enters the effective dynamics.
@@ -73,10 +73,9 @@ class LambdaParams:
     omega0: float
     kappa: float = 1.0
     gamma: float = 0.0
-    g: float = 1.0
 
     def __post_init__(self):
-        set_rates(self, ("omega0", "kappa", "gamma", "g"))
+        set_rates(self, ("omega0", "kappa", "gamma"))
 
     @property
     def omega(self) -> float:
@@ -89,7 +88,7 @@ class EffectiveRates:
     """Damping constants of the reduced decoherence-free dynamics.
 
     k1 is the cavity-leakage rate scale of the driven qubit amplitudes,
-    k1 = omega^2 kappa / (16 g^2); k2 adds the direct loss channels of the
+    k1 = omega^2 kappa / 16 (g = 1); k2 adds the direct loss channels of the
     bus amplitude, k2 = k1 + omega^2/(2 kappa) + gamma/2.  Always k2 >= k1.
     """
 
@@ -163,15 +162,15 @@ def build_generator_lambda(params: LambdaParams, basis: Basis) -> ConditionalGen
     level 2.  The decay part makes i(H - H') positive semidefinite, so the
     evolved squared norm (the no-photon probability) never increases.
     """
-    h = _hamiltonian_matrix(params.g, params.omega0, params.kappa, params.gamma, basis)
+    h = _hamiltonian_matrix(1.0, params.omega0, params.kappa, params.gamma, basis)
     return ConditionalGenerator(basis, -1j * h)
 
 
-def cavity_coupling(basis: Basis, g: float = 1.0) -> Operator:
+def cavity_coupling(basis: Basis) -> Operator:
     """Atom-cavity interaction operator alone (annihilates the DFS)."""
     basis.require_scheme("lambda")
     cavity = _product_terms(basis.n_max)[0]
-    return Operator(basis, _to_symmetrized(assemble(basis.dim, [g], [cavity]), basis.n_max + 1))
+    return Operator(basis, _to_symmetrized(assemble(basis.dim, [1.0], [cavity]), basis.n_max + 1))
 
 
 def laser_coupling(basis: Basis, omega0: float) -> Operator:
@@ -195,17 +194,15 @@ def pulse_duration(params: LambdaParams) -> float:
 
 def effective_rates(params: LambdaParams) -> EffectiveRates:
     """Damping constants k1, k2 of the reduced dynamics."""
-    if params.kappa <= 0.0 or params.g <= 0.0:
-        raise ValueError(
-            "effective rates require kappa > 0 and g > 0 (regime violation: "
-            "the dissipative gate mechanism needs a leaky cavity)"
-        )
+    if params.kappa <= 0.0:
+        raise ValueError("effective rates require kappa > 0 (regime violation: "
+                         "the dissipative gate mechanism needs a leaky cavity)")
     om2 = params.omega * params.omega
-    k1 = om2 * params.kappa / (16.0 * params.g * params.g)
+    k1 = om2 * params.kappa / 16.0
     k2 = k1 + om2 / (2.0 * params.kappa) + params.gamma / 2.0
     if not math.isfinite(k2):  # k2 >= k1 >= 0, so k1 is finite too
         raise ValueError(f"effective rates k1, k2 overflow at omega0={params.omega0!r}, "
-                         f"kappa={params.kappa!r}, g={params.g!r}")
+                         f"kappa={params.kappa!r}")
     return EffectiveRates(k1=k1, k2=k2)
 
 
@@ -289,17 +286,16 @@ def first_order_success_probability(psi, params: LambdaParams) -> float:
 
 def validate_regime_lambda(params: LambdaParams,
                            threshold: float = DEFAULT_THRESHOLD) -> RegimeReport:
-    """Advisory report on gamma << omega << g^2/kappa and omega << kappa."""
+    """Advisory report on gamma << omega << g^2/kappa and omega << kappa (g = 1)."""
     om = params.omega
     checks = [ratio_check("gamma_much_less_than_omega", params.gamma, om, threshold)]
-    if params.kappa <= 0.0 or params.g <= 0.0:
+    if params.kappa <= 0.0:
         checks.append(RegimeCheck(
             "omega_much_less_than_g2_over_kappa", math.inf, threshold,
-            LEVEL_VIOLATION, "kappa and g must be positive"))
+            LEVEL_VIOLATION, "kappa must be positive"))
     else:
         checks.append(ratio_check(
-            "omega_much_less_than_g2_over_kappa",
-            om * params.kappa, params.g * params.g, threshold))
+            "omega_much_less_than_g2_over_kappa", om * params.kappa, 1.0, threshold))
     checks.append(ratio_check("omega_much_less_than_kappa", om, params.kappa,
                               threshold, hard_denominator=True))
     return RegimeReport(scheme="lambda", checks=tuple(checks))

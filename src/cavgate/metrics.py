@@ -143,7 +143,7 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     final = propagate(p, embed_qubit_state(basis, v), [t_gate])[0]
 
     if relax_window:
-        dark = LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma, g=params.g)
+        dark = LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma)
         gen2 = build_generator_lambda(dark, basis)
         t_relax = 5.0 / params.gamma
         p2 = plan(gen2, t_relax, min_substeps=min_substeps)

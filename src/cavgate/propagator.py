@@ -13,10 +13,11 @@ whose sweeps fail to contract to unit roundoff, is one leaf, whole.  It
 then applies the leaf exponentials, taken once per distinct gap between
 requested times, each over an exact fraction of the run (a gate run is one
 exponential at exactly its length), so cost does not grow with the pulse
-length.  Each leaf is exponentiated shifted by the mean imaginary part of
-its diagonal (a pure phase, so nothing overflows): the squarings see norms
-of order the couplings times the pulse length rather than the detuning
-times it, and their roundoff no longer dominates the result.
+length.  Each split-off leaf is exponentiated shifted by the mean imaginary
+part of its diagonal (a pure phase, so nothing overflows): the squarings
+see norms of order the couplings times the pulse length rather than the
+detuning times it, and their roundoff no longer dominates the result.  A
+whole (unsplit) block is exponentiated unshifted, with omega = 0.
 
 The exponential is scaling and squaring with the diagonal degree-13 Pade
 core (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the matrix halved until its
@@ -154,8 +155,7 @@ class PropagatorPlan:
     """Time grid of a run under one generator.
 
     ``dt`` only snaps requested times onto the grid; ``propagate`` takes k
-    steps as t_total * (k / (n_outputs * n_sub)).  Immutable and shareable;
-    independent propagate calls may run concurrently on the same plan.
+    steps as t_total * (k / (n_outputs * n_sub)).  Immutable.
     """
 
     generator: ConditionalGenerator
@@ -172,8 +172,9 @@ def plan(generator: ConditionalGenerator, t_total: float,
     The grid step is dt = t_total / (n_outputs * min_substeps); the two
     counts, positive integers, only set which times ``propagate`` accepts:
     a run to t_total is one exponential at exactly t_total whatever they
-    are, at unit roundoff (see ``expm``).  A count that is not an integer,
-    or a dt below the smallest normal float, raises ValueError.
+    are, at unit roundoff (see ``expm``).  A count that is not an integer, a
+    product above 2**53 (past which step indices are not exact floats), or
+    a dt below the smallest normal float, raises ValueError.
     """
     if not np.all(np.isfinite(generator.matrix)):
         raise ValueError("generator contains non-finite entries")
@@ -182,6 +183,8 @@ def plan(generator: ConditionalGenerator, t_total: float,
         raise ValueError(f"t_total must be positive and finite, got {t_total!r}")
     n_outputs = _count("n_outputs", n_outputs)
     n_sub = _count("min_substeps", min_substeps)
+    if n_outputs * n_sub > 2 ** 53:
+        raise ValueError(f"n_outputs={n_outputs} times min_substeps={n_sub} exceeds 2**53 grid steps")
     dt = t_total / (n_outputs * n_sub)
     if dt < sys.float_info.min:
         raise ValueError(f"t_total={t_total!r} over {n_outputs * n_sub} grid steps gives a step "

@@ -10,7 +10,7 @@ populated, spontaneous emission is strongly suppressed while the reduced
 dynamics reproduces the three-level gate with effective couplings
 
     omega_j_eff = -omega_2j * omega_jj / (2 delta_j),
-    g_eff       = -g * omega_22 / (2 delta_2),
+    g_eff       = -omega_22 / (2 delta_2)   (g = 1),
 
 plus four light-shift terms.  Both the full 36-configuration generator and
 the reduced (adiabatically eliminated) generator are provided; the reduced
@@ -70,18 +70,17 @@ def _triple(value, name: str) -> tuple:
     return tuple(as_rate(f"{name}[{j}]", v) for j, v in enumerate(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RamanParams:
-    """Rates of the six-level scheme, in units of g.
+    """Rates of the six-level scheme, in units of the coupling g; keyword-only.
 
     ``delta``, ``omega_diag`` and ``gamma`` hold one entry per excited state
     (j = 0, 1, 2); scalars broadcast to all three.  Detunings must be
-    positive, everything else non-negative.  Defaults: g = 1, delta = 1000,
+    positive, everything else non-negative.  Defaults: delta = 1000,
     omega_diag = 2, omega20 = 0.05, gamma = 0, omega21 = omega20 (the balanced
-    drive the gate needs) and kappa = |g_eff| = g omega_22 / (2 delta_2).
+    drive the gate needs) and kappa = |g_eff| = omega_22 / (2 delta_2).
     """
 
-    g: float = 1.0
     kappa: float | None = None
     delta: tuple = (1000.0, 1000.0, 1000.0)
     omega_diag: tuple = (2.0, 2.0, 2.0)
@@ -90,12 +89,11 @@ class RamanParams:
     gamma: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", _triple(self.delta, "delta"))
-        object.__setattr__(self, "omega_diag", _triple(self.omega_diag, "omega_diag"))
-        object.__setattr__(self, "gamma", _triple(self.gamma, "gamma"))
+        for name in ("delta", "omega_diag", "gamma"):
+            object.__setattr__(self, name, _triple(getattr(self, name), name))
         if self.omega21 is None:
             object.__setattr__(self, "omega21", self.omega20)
-        set_rates(self, [n for n in ("g", "kappa", "omega20", "omega21") if getattr(self, n) is not None])
+        set_rates(self, [n for n in ("kappa", "omega20", "omega21") if getattr(self, n) is not None])
         if 0.0 in self.delta:
             raise ValueError(f"delta entries must be positive, got {self.delta!r}")
         if self.kappa is None:  # after the delta check, so that g_eff is a number
@@ -122,14 +120,14 @@ class EffectiveLambdaView:
 
 
 def effective_lambda_view(params: RamanParams) -> EffectiveLambdaView:
-    """All effective rates of the adiabatic elimination, signs preserved."""
+    """All effective rates of the adiabatic elimination (g = 1), signs preserved."""
     d0, d1, d2 = params.delta
     o00, o11, o22 = params.omega_diag
     return EffectiveLambdaView(
         omega0_eff=-params.omega20 * o00 / (2.0 * d0),
         omega1_eff=-params.omega21 * o11 / (2.0 * d1),
-        g_eff=-params.g * o22 / (2.0 * d2),
-        cavity_shift=params.g * params.g / d2,
+        g_eff=-o22 / (2.0 * d2),
+        cavity_shift=1.0 / d2,
         ground_shift=(o00 * o00 / (4.0 * d0), o11 * o11 / (4.0 * d1), o22 * o22 / (4.0 * d2)),
         weak_shift_atom1=params.omega21 * params.omega21 / (4.0 * d1),
         weak_shift_atom2=params.omega20 * params.omega20 / (4.0 * d0),
@@ -178,7 +176,7 @@ def build_generator_raman(params: RamanParams, basis: Basis) -> ConditionalGener
     coefficients = [params.omega21 / 2.0, params.omega20 / 2.0]
     for j in range(3):
         coefficients += [params.omega_diag[j] / 2.0, params.delta[j] - 0.5j * params.gamma[j]]
-    coefficients += [params.g, -0.5j * params.kappa]
+    coefficients += [1.0, -0.5j * params.kappa]
     h = assemble(basis.dim, coefficients, _raman_terms(basis.n_max))
     h *= -1j  # G = -i H in place; exact, it only swaps and negates parts
     return ConditionalGenerator(basis, h)
@@ -281,7 +279,7 @@ def validate_regime_raman(params: RamanParams,
                     hard_denominator=True),
         ratio_check("omega20_much_less_than_omega00", params.omega20, o00, threshold),
         ratio_check("omega21_much_less_than_omega11", params.omega21, o11, threshold),
-        ratio_check("g_much_less_than_omega22", params.g, o22, threshold),
+        ratio_check("g_much_less_than_omega22", 1.0, o22, threshold),
         equality_check("equal_ground_shifts",
                        o00 * o00 / d0, o11 * o11 / d1,
                        note="omega_00^2/delta_0 != omega_11^2/delta_1"),
@@ -289,7 +287,7 @@ def validate_regime_raman(params: RamanParams,
                        o11 * o11 / d1, o22 * o22 / d2,
                        note="omega_11^2/delta_1 != omega_22^2/delta_2"),
         ratio_check("delta_much_greater_than_other_rates",
-                    max(params.g, params.kappa, o00, o11, o22,
+                    max(1.0, params.kappa, o00, o11, o22,
                         params.omega20, params.omega21, *params.gamma),
                     min(params.delta), threshold),
     ]

@@ -131,7 +131,7 @@ def kron_generator_raman(params, basis):
 
     h = np.kron(np.eye(nf, dtype=np.complex128), at)
     for emb in (atom1, atom2):
-        t = 1j * params.g * np.kron(b, emb(ket_bra(6, _LEV["e2"], _LEV["1"])))
+        t = 1j * np.kron(b, emb(ket_bra(6, _LEV["e2"], _LEV["1"])))
         h += t + t.conj().T
     h += -0.5j * params.kappa * np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128))
     return ConditionalGenerator(basis, -1j * h)
@@ -159,7 +159,7 @@ def kron_hamiltonian_lambda(g, omega0, kappa, gamma, basis):
 
 def kron_generator_lambda(params, basis):
     return ConditionalGenerator(
-        basis, -1j * kron_hamiltonian_lambda(params.g, params.omega0, params.kappa, params.gamma, basis))
+        basis, -1j * kron_hamiltonian_lambda(1.0, params.omega0, params.kappa, params.gamma, basis))
 
 
 def kron_shift_hamiltonian(view, n_max):

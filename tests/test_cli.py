@@ -459,6 +459,24 @@ SHELVING = ("--scheme", "shelving", "--omega-w", "0.02")
 SCAN = ("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
         "--count", "2")
 
+
+@pytest.mark.parametrize("argv,what", [
+    (("run", *LAMBDA, "--g", "1e-320"), "time 62.83"),  # T printed as inf
+    (("run", *LAMBDA, "--gamma", "0.001", "--g", "5e-324"), "rate 0.1"),  # omega0 printed as 0.0
+    ((*SCAN, "--g", "1e-320"), "time 125.6"),
+    (("run", "--scheme", "raman", "--g", "1e-320"), "time 125663.7"),
+    (("run", *SHELVING, "--g", "1e-320", "--samples-out", "{samples}"), "time 5000.0"),  # before either file
+], ids=["lambda-time", "lambda-rate", "scan", "raman", "shelving"])
+def test_g_that_breaks_a_relabelled_value_is_invalid_input(capsys, tmp_path, argv, what):
+    output, samples = tmp_path / "out.csv", tmp_path / "samples.csv"
+    argv = [a.replace("{samples}", str(samples)) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--output", str(output))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --g {float(argv[argv.index('--g') + 1])!r} relabels the {what}")
+    assert not output.exists() and not samples.exists()
+
+
 REJECTED = [
     (("run", *LAMBDA, "--delta", "5", "--omega-w", "3", "--tmax", "9"), "",
      ("--delta (flag)", "--omega-w (flag)", "--tmax (flag)")),

@@ -50,7 +50,7 @@ def _rate(rng, hi):
 
 def random_raman(rng):
     return RamanParams(
-        g=rng.uniform(0.2, 3.0), kappa=_rate(rng, 0.1),
+        kappa=_rate(rng, 0.1),
         delta=tuple(10.0 ** rng.uniform(1.0, 5.0, 3)),
         omega_diag=tuple(_rate(rng, 30.0) for _ in range(3)),
         omega20=_rate(rng, 0.2), omega21=_rate(rng, 0.2),
@@ -59,8 +59,7 @@ def random_raman(rng):
 
 
 def random_lambda(rng):
-    return LambdaParams(omega0=_rate(rng, 1.0), kappa=_rate(rng, 2.0),
-                        gamma=_rate(rng, 1.0), g=rng.uniform(0.2, 3.0))
+    return LambdaParams(omega0=_rate(rng, 1.0), kappa=_rate(rng, 2.0), gamma=_rate(rng, 1.0))
 
 
 def anchor_run(name):
@@ -100,7 +99,7 @@ def test_effective_generator_bitwise_equals_kron_builder(monkeypatch):
     cases = []
     for _ in range(30):
         weak = rng.uniform(0.005, 0.2)
-        cases.append(RamanParams(g=rng.uniform(0.5, 2.0), kappa=rng.uniform(1e-4, 0.1),
+        cases.append(RamanParams(kappa=rng.uniform(1e-4, 0.1),
                                  delta=10.0 ** rng.uniform(2.0, 4.0), omega_diag=rng.uniform(0.5, 10.0),
                                  omega20=weak, omega21=weak))
     runs = [(p, build_basis("lambda", n)) for p in cases for n in range(4)]

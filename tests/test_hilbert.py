@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -19,8 +20,9 @@ from cavgate.hilbert import (
 )
 from cavgate.lambda_gate import LambdaParams, cavity_coupling, laser_coupling
 from cavgate.metrics import gate_run
+from cavgate.propagator import plan, propagate
 from cavgate.raman_gate import RamanParams
-from cavgate.shelving import ShelvingParams
+from cavgate.shelving import ShelvingParams, build_generator_shelving
 
 
 def test_dimensions():
@@ -33,6 +35,19 @@ def test_dimensions():
 
 def test_shelving_dimension_ignores_cutoff():
     assert build_basis("shelving", 3).dim == 3
+
+
+def test_a_shelving_basis_is_one_basis_whatever_the_cutoff():
+    # the cutoff is checked, then stored as 0: a state built on one cutoff
+    # propagates under a generator built on another
+    assert build_basis("shelving", 2) == build_basis("shelving", 0)
+    assert build_basis("shelving", 2).n_max == 0
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        build_basis("shelving", -1)
+    params = ShelvingParams(omega_w=0.02, omega_s=1.0, gamma_s=1.0)
+    gen = build_generator_shelving(params, build_basis("shelving", 0))
+    (out,) = propagate(plan(gen, 10.0), basis_state(build_basis("shelving", 2), 0, "A"), [10.0])
+    assert 0.0 < out.squared_norm() < 1.0
 
 
 def test_label_ordering_is_photon_major():
@@ -188,8 +203,22 @@ def test_non_integral_cutoffs_and_photon_numbers_are_rejected():
     assert build_basis("lambda", 2).index(1.0, "00") == 9
 
 
-RATE_FIELDS = [(LambdaParams, {"omega0": 0.1}, name) for name in ("omega0", "kappa", "gamma", "g")]
-RATE_FIELDS += [(RamanParams, {}, name) for name in ("g", "kappa", "omega20", "omega21")]
+def test_g_is_the_unit_and_no_parameter_sets_it():
+    assert tuple(f.name for f in dataclasses.fields(LambdaParams)) == ("omega0", "kappa", "gamma")
+    assert tuple(f.name for f in dataclasses.fields(RamanParams)) == (
+        "kappa", "delta", "omega_diag", "omega20", "omega21", "gamma")
+    with pytest.raises(TypeError):
+        LambdaParams(omega0=0.1, g=1.0)
+    with pytest.raises(TypeError):
+        RamanParams(g=1.0)
+    with pytest.raises(TypeError):  # keyword-only: no rate binds by position
+        RamanParams(1e-3)
+    with pytest.raises(TypeError):
+        cavity_coupling(build_basis("lambda", 1), g=2.0)
+
+
+RATE_FIELDS = [(LambdaParams, {"omega0": 0.1}, name) for name in ("omega0", "kappa", "gamma")]
+RATE_FIELDS += [(RamanParams, {}, name) for name in ("kappa", "omega20", "omega21")]
 RATE_FIELDS += [(ShelvingParams, {"omega_w": 0.02, "omega_s": 1.0, "gamma_s": 1.0}, name)
                 for name in ("omega_w", "omega_s", "gamma_s")]
 # one entry of a per-excited-state triple, the other two left at 2

