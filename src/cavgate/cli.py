@@ -24,7 +24,7 @@ from .lambda_gate import LambdaParams, validate_regime_lambda
 from .metrics import DEFAULT_N_MAX, gate_run
 from .propagator import DEFAULT_OUTPUTS
 from .raman_gate import RamanParams, validate_regime_raman
-from .regime import DEFAULT_THRESHOLD
+from .regime import DEFAULT_THRESHOLD, LEVEL_PASS
 from .shelving import (
     ShelvingParams,
     dark_time,
@@ -415,6 +415,7 @@ def _sweep_values(values: dict, spacing: str) -> np.ndarray:
 
 
 def cmd_scan(values: dict, scheme: str) -> int:
+    """One gate run per point: the CSV on stdout, then each point's failing checks on stderr."""
     swept = _swept(values, scheme)
     spacing = values["spacing"] or "linear"
     points = _sweep_values(values, spacing)
@@ -430,6 +431,10 @@ def cmd_scan(values: dict, scheme: str) -> int:
     lines += [",".join(_gate_row(scheme, params, result, values))
               for params, result, _ in outcomes]
     _emit_csv(lines, values["output"])
+    for v, (_, _, report) in zip(points.tolist(), outcomes):
+        for check in report.checks:
+            if check.level != LEVEL_PASS:
+                print(f"{values['sweep']}={_fmt(v)}: {check.line()}", file=sys.stderr)
     return max(report.exit_code for _, _, report in outcomes)
 
 
@@ -473,6 +478,6 @@ def main(argv=None) -> int:
         _reject_unused(values, sources, args.command, scheme)
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
         return handler[args.command](values, scheme)
-    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
+    except (ValueError, TypeError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,8 +40,6 @@ from .hilbert import (
 from .propagator import expm
 from .regime import (
     DEFAULT_THRESHOLD,
-    LEVEL_VIOLATION,
-    RegimeCheck,
     RegimeReport,
     RegimeWarning,
     ratio_check,
@@ -286,16 +284,16 @@ def first_order_success_probability(psi, params: LambdaParams) -> float:
 
 def validate_regime_lambda(params: LambdaParams,
                            threshold: float = DEFAULT_THRESHOLD) -> RegimeReport:
-    """Advisory report on gamma << omega << g^2/kappa and omega << kappa (g = 1)."""
+    """Advisory report on gamma << omega << g^2/kappa and omega << kappa (g = 1).
+
+    Each condition is one ratio, omega << g^2/kappa taken as omega*kappa
+    against 1, so kappa = 0 passes it and is reported once, as the
+    violation of omega << kappa.
+    """
     om = params.omega
-    checks = [ratio_check("gamma_much_less_than_omega", params.gamma, om, threshold)]
-    if params.kappa <= 0.0:
-        checks.append(RegimeCheck(
-            "omega_much_less_than_g2_over_kappa", math.inf, threshold,
-            LEVEL_VIOLATION, "kappa must be positive"))
-    else:
-        checks.append(ratio_check(
-            "omega_much_less_than_g2_over_kappa", om * params.kappa, 1.0, threshold))
-    checks.append(ratio_check("omega_much_less_than_kappa", om, params.kappa,
-                              threshold, hard_denominator=True))
-    return RegimeReport(scheme="lambda", checks=tuple(checks))
+    return RegimeReport(scheme="lambda", checks=(
+        ratio_check("gamma_much_less_than_omega", params.gamma, om, threshold),
+        ratio_check("omega_much_less_than_g2_over_kappa", om * params.kappa, 1.0, threshold),
+        ratio_check("omega_much_less_than_kappa", om, params.kappa, threshold,
+                    hard_denominator=True),
+    ))

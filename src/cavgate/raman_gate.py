@@ -97,7 +97,11 @@ class RamanParams:
         if 0.0 in self.delta:
             raise ValueError(f"delta entries must be positive, got {self.delta!r}")
         if self.kappa is None:  # after the delta check, so that g_eff is a number
-            object.__setattr__(self, "kappa", as_rate("kappa", abs(effective_lambda_view(self).g_eff)))
+            kappa = abs(effective_lambda_view(self).g_eff)
+            if not math.isfinite(kappa):
+                raise ValueError(f"kappa defaults to |g_eff| = omega_diag[2]/(2 delta[2]), which is not finite "
+                                 f"at omega_diag[2]={self.omega_diag[2]!r}, delta[2]={self.delta[2]!r}")
+            object.__setattr__(self, "kappa", kappa)
 
 
 @dataclass(frozen=True)
@@ -254,26 +258,19 @@ def validate_regime_raman(params: RamanParams,
     against g_eff^2/kappa and kappa, each weak field against its strong
     partner, g against omega_22, equality of the omega_jj^2/delta_j shifts
     (warning when broken) and the separation of the detunings from every
-    other rate.
+    other rate.  The weak drive is taken against g_eff^2/kappa as
+    |omega0_eff|*kappa against g_eff^2, so kappa = 0 passes it and is
+    reported once, as the violation of omega_eff << kappa.
     """
     view = effective_lambda_view(params)
     o00, o11, o22 = params.omega_diag
     d0, d1, d2 = params.delta
-    checks = [
+    checks = (
         equality_check("omega0_eff_equals_omega1_eff",
                        view.omega0_eff, view.omega1_eff, hard=True),
-    ]
-    if params.kappa <= 0.0:
-        checks.append(ratio_check(
-            "omega_eff_much_less_than_geff2_over_kappa",
-            abs(view.omega0_eff), 0.0, threshold, hard_denominator=True,
-            note="kappa must be positive"))
-    else:
-        checks.append(ratio_check(
-            "omega_eff_much_less_than_geff2_over_kappa",
-            abs(view.omega0_eff) * params.kappa, view.g_eff * view.g_eff, threshold,
-            hard_denominator=True))
-    checks += [
+        ratio_check("omega_eff_much_less_than_geff2_over_kappa",
+                    abs(view.omega0_eff) * params.kappa, view.g_eff * view.g_eff, threshold,
+                    hard_denominator=True),
         ratio_check("omega_eff_much_less_than_kappa",
                     abs(view.omega0_eff), params.kappa, threshold,
                     hard_denominator=True),
@@ -290,5 +287,5 @@ def validate_regime_raman(params: RamanParams,
                     max(1.0, params.kappa, o00, o11, o22,
                         params.omega20, params.omega21, *params.gamma),
                     min(params.delta), threshold),
-    ]
-    return RegimeReport(scheme="raman", checks=tuple(checks))
+    )
+    return RegimeReport(scheme="raman", checks=checks)

@@ -105,21 +105,21 @@ class RegimeReport:
 
 
 def ratio_check(name: str, numerator: float, denominator: float,
-                threshold: float, hard_denominator: bool = False,
-                note: str = "") -> RegimeCheck:
+                threshold: float, hard_denominator: bool = False) -> RegimeCheck:
     """Classify the condition numerator << denominator.
 
+    A condition whose limit is infinite is written cross-multiplied (omega
+    << g^2/kappa as omega*kappa against g^2), so a zero rate in it passes.
     A non-positive denominator is a violation when ``hard_denominator`` is
     set (the quantity is structurally required), otherwise a warning.
     """
     if denominator <= 0.0:
         level = LEVEL_VIOLATION if hard_denominator else LEVEL_WARN
         ratio = 0.0 if numerator == 0.0 else math.inf
-        return RegimeCheck(name, ratio, threshold, level,
-                           note or "denominator is not positive")
+        return RegimeCheck(name, ratio, threshold, level, "denominator is not positive")
     ratio = numerator / denominator
     level = LEVEL_PASS if ratio <= threshold else LEVEL_WARN
-    return RegimeCheck(name, ratio, threshold, level, note)
+    return RegimeCheck(name, ratio, threshold, level)
 
 
 def equality_check(name: str, lhs: float, rhs: float,

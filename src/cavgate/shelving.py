@@ -119,18 +119,16 @@ def fit_dark_time(params: ShelvingParams, n_points: int = 200) -> float:
 
 def validate_regime_shelving(params: ShelvingParams,
                              threshold: float = DEFAULT_THRESHOLD) -> RegimeReport:
-    """Advisory report on omega_w << omega_s^2/gamma_s and omega_w << gamma_s."""
-    checks = []
-    if params.gamma_s <= 0.0 or params.omega_s <= 0.0:
-        checks.append(ratio_check(
-            "omega_w_much_less_than_omega_s2_over_gamma_s",
-            params.omega_w, 0.0, threshold, hard_denominator=True,
-            note="omega_s and gamma_s must be positive"))
-    else:
-        checks.append(ratio_check(
-            "omega_w_much_less_than_omega_s2_over_gamma_s",
-            params.omega_w * params.gamma_s, params.omega_s * params.omega_s, threshold))
-    checks.append(ratio_check(
-        "omega_w_much_less_than_gamma_s",
-        params.omega_w, params.gamma_s, threshold, hard_denominator=True))
-    return RegimeReport(scheme="shelving", checks=tuple(checks))
+    """Advisory report on omega_w << omega_s^2/gamma_s and omega_w << gamma_s.
+
+    The first condition is one ratio, omega_w*gamma_s against omega_s^2: a
+    zero omega_s violates it, while gamma_s = 0 passes it and is reported
+    once, as the violation of omega_w << gamma_s.
+    """
+    return RegimeReport(scheme="shelving", checks=(
+        ratio_check("omega_w_much_less_than_omega_s2_over_gamma_s",
+                    params.omega_w * params.gamma_s, params.omega_s * params.omega_s, threshold,
+                    hard_denominator=True),
+        ratio_check("omega_w_much_less_than_gamma_s",
+                    params.omega_w, params.gamma_s, threshold, hard_denominator=True),
+    ))

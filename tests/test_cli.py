@@ -113,6 +113,17 @@ def test_each_scan_point_is_validated_once(capsys, monkeypatch):
     assert len(calls) == 20
 
 
+def test_scan_names_each_point_that_fails_a_check(capsys):
+    code, out, err = run_cli(capsys, "scan", "--scheme", "lambda", "--sweep", "omega0",
+                             "--start", "0.05", "--stop", "0.2", "--count", "2")
+    assert code == 1
+    assert len(parse_rows(out)) == 2
+    assert err.splitlines() == [
+        "omega0=0.2: [     warn] omega_much_less_than_g2_over_kappa: ratio=0.1414 threshold=0.1",
+        "omega0=0.2: [     warn] omega_much_less_than_kappa: ratio=0.1414 threshold=0.1",
+    ]
+
+
 def test_run_shelving_samples_file(capsys, tmp_path):
     samples = tmp_path / "samples.csv"
     code, out, _ = run_cli(
@@ -227,6 +238,22 @@ def test_validate_exit_codes(capsys):
     assert "g_much_less_than_omega22" in out
     code, _, _ = run_cli(capsys, "validate", "--scheme", "lambda", "--omega0", "0.1", "--kappa", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,violated", [
+    (("lambda", "--omega0", "0.1", "--kappa", "0"), ["omega_much_less_than_kappa"]),
+    (("raman", "--kappa", "0"), ["omega_eff_much_less_than_kappa"]),
+    (("shelving", "--omega-w", "0.02", "--gamma-s", "0"), ["omega_w_much_less_than_gamma_s"]),
+    (("shelving", "--omega-w", "0.02", "--omega-s", "0"),
+     ["omega_w_much_less_than_omega_s2_over_gamma_s"]),
+    # g_eff = 0, and the kappa derived from it is 0 too: two causes
+    (("raman", "--omega22", "0"),
+     ["omega_eff_much_less_than_geff2_over_kappa", "omega_eff_much_less_than_kappa"]),
+], ids=" ".join)
+def test_validate_reports_each_zero_rate_once(capsys, argv, violated):
+    code, out, err = run_cli(capsys, "validate", "--scheme", *argv)
+    assert (code, err) == (2, "")
+    assert [ln.split(":")[0][12:] for ln in out.splitlines() if ln.startswith("[violation]")] == violated
 
 
 @pytest.mark.parametrize("flag,code,check,level", [
@@ -361,7 +388,15 @@ INVALID = [
        f"missing required parameter {SWEEP[i]!r}") for i in range(0, len(SWEEP), 2)),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "5e-324"), "",
      "error: t_total=5e-324 over 500 grid steps gives a step dt=0.0 below the smallest normal float"),
+    # numpy refuses these 6.94 EiB grids at once, so nothing is allocated
+    (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.005", "--stop", "0.2",
+      "--count", "1000000000000000000"), "", "error: Unable to allocate"),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
+     "error: Unable to allocate"),
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
+    (("run", "--scheme", "raman", "--delta", "1e-310"), "",
+     "error: kappa defaults to |g_eff| = omega_diag[2]/(2 delta[2]), which is not finite "
+     "at omega_diag[2]=2.0, delta[2]=1e-310\n"),
     (("validate", "--scheme", "raman", "--delta", "0"), "", "delta entries must be positive"),
     (("run", "--scheme", "raman", "--omega22", "1e200"), "", "matrix exponential overflows"),
     (("run", "--scheme", "lambda", "--omega0", "1e-310"), "",
@@ -665,8 +700,7 @@ PINNED = [
     (("validate", "--scheme", "raman", "--kappa", "0"), 2,
      "regime report (raman): 1 warning(s), violation\n"
      "[     pass] omega0_eff_equals_omega1_eff: ratio=0 threshold=1e-12\n"
-     "[violation] omega_eff_much_less_than_geff2_over_kappa: ratio=inf threshold=0.1 "
-     "(kappa must be positive)\n"
+     "[     pass] omega_eff_much_less_than_geff2_over_kappa: ratio=0 threshold=0.1\n"
      "[violation] omega_eff_much_less_than_kappa: ratio=inf threshold=0.1 "
      "(denominator is not positive)\n"
      "[     pass] omega20_much_less_than_omega00: ratio=0.025 threshold=0.1\n"

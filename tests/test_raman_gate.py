@@ -59,8 +59,10 @@ def test_kappa_defaults_to_the_effective_cavity_coupling():
     ("omega_diag", float("nan"), "omega_diag[0] must be a finite non-negative rate, got nan"),
     ("omega_diag", -1.0, "omega_diag[0] must be a finite non-negative rate, got -1.0"),
     ("gamma", (0.0, -1.0, 0.0), "gamma[1] must be a finite non-negative rate, got -1.0"),
+    ("delta", 1e-310, "kappa defaults to |g_eff| = omega_diag[2]/(2 delta[2]), which is not finite "
+                      "at omega_diag[2]=2.0, delta[2]=1e-310"),
 ], ids=["delta-pair", "delta-inf", "delta-zero", "omega_diag-nan", "omega_diag-negative",
-        "gamma-negative"])
+        "gamma-negative", "delta-tiny-for-the-default-kappa"])
 def test_per_state_fields_name_themselves_when_rejected(name, value, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         RamanParams(**{name: value})
