@@ -41,7 +41,6 @@ from .metrics import (
 from .propagator import (
     PropagatorPlan,
     expm,
-    no_photon_probability,
     output_times,
     plan,
     propagate,
@@ -55,7 +54,7 @@ from .raman_gate import (
     raman_pulse_duration,
     validate_regime_raman,
 )
-from .regime import RegimeReport, RegimeWarning
+from .regime import RegimeReport
 from .shelving import (
     ShelvingParams,
     build_generator_shelving,

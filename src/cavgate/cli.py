@@ -405,11 +405,11 @@ def cmd_run(values: dict, scheme: str) -> int:
 
 def _sweep_values(values: dict, spacing: str) -> np.ndarray:
     start, stop, count = (_require(values, dest) for dest in ("start", "stop", "count"))
+    if spacing == "log" and (start <= 0.0 or stop <= 0.0):
+        raise ValueError("log spacing requires positive --start and --stop")
     if count == 1:
         return np.array([start])
     if spacing == "log":
-        if start <= 0.0 or stop <= 0.0:
-            raise ValueError("log spacing requires positive --start and --stop")
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
 
@@ -434,7 +434,8 @@ def cmd_scan(values: dict, scheme: str) -> int:
     for v, (_, _, report) in zip(points.tolist(), outcomes):
         for check in report.checks:
             if check.level != LEVEL_PASS:
-                print(f"{values['sweep']}={_fmt(v)}: {check.line()}", file=sys.stderr)
+                print(f"{values['sweep']}={_fmt(_relabel(v, values['g']))}: {check.line()}",
+                      file=sys.stderr)
     return max(report.exit_code for _, _, report in outcomes)
 
 
@@ -466,6 +467,8 @@ def cmd_converge(values: dict, scheme: str) -> int:
     print(f"{'quantity':<38} {'base':<24} {'refined':<24} |delta|")
     for name, a, b in rows:
         print(f"{name:<38} {_fmt(float(a)):<24} {_fmt(float(b)):<24} {abs(b - a):.3e}")
+    for line in report.lines():
+        print(line, file=sys.stderr)
     return report.exit_code
 
 

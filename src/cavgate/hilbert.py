@@ -263,11 +263,6 @@ class ConditionalGenerator(Operator):
     checked and stored as for ``Operator``.
     """
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        """The conditional Hamiltonian H = i G."""
-        return 1j * self.matrix
-
 
 def basis_state(basis: Basis, n: int, config: str) -> StateVector:
     """Unit vector with amplitude 1 at the label (n, config)."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .propagator import expm
 from .regime import (
     DEFAULT_THRESHOLD,
     RegimeReport,
-    RegimeWarning,
     ratio_check,
 )
 
@@ -263,22 +261,14 @@ def first_order_success_probability(psi, params: LambdaParams) -> float:
     """No-emission probability of a full pulse, to first order in k_i*T.
 
     ``psi`` is a unit-norm amplitude vector over (00, 01, 10, 11), checked
-    by ``qubit_state`` as ``gate_run`` checks it.  Outside the weak-driving
-    regime the first-order expression can leave [0, 1]; the returned value
-    is then clamped and a RegimeWarning is emitted.
+    by ``qubit_state`` as ``gate_run`` checks it.
     p = 1 - 2 Re <CNOT psi, (CNOT - M) psi> is |M psi|^2 to first order in
-    CNOT - M, M being ``first_order_gate_matrix(params)``.
+    CNOT - M, M being ``first_order_gate_matrix(params)``.  The expansion is
+    returned as computed: outside the weak-driving regime it can leave
+    [0, 1], and ``validate_regime_lambda`` is what judges the regime.
     """
     v = qubit_state(psi)
     p = 1.0 - 2.0 * np.vdot(CNOT_MATRIX @ v, (CNOT_MATRIX - first_order_gate_matrix(params)) @ v).real
-    if p < 0.0 or p > 1.0:
-        warnings.warn(
-            f"first-order success probability {p:.4g} clamped to [0, 1]; "
-            "parameters are outside the weak-driving regime",
-            RegimeWarning,
-            stacklevel=2,
-        )
-        p = min(1.0, max(0.0, p))
     return float(p)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "PropagatorPlan",
     "plan",
     "propagate",
-    "no_photon_probability",
     "output_times",
 ]
 
@@ -424,11 +423,6 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
                 cur[part] = e @ cur[part]
         states.append(StateVector(state0.basis, d.out(cur, amps)))
     return states
-
-
-def no_photon_probability(p: PropagatorPlan, state0: StateVector, t: float) -> float:
-    """Probability that no photon was emitted up to time t."""
-    return propagate(p, state0, [t])[0].squared_norm()
 
 
 def output_times(p: PropagatorPlan) -> np.ndarray:

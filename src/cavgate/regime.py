@@ -14,9 +14,10 @@ block a run; they classify each condition as
     frequencies that break the gate construction).
 
 The thresholds encode how strictly "much smaller" is read; the default of
-0.1 means one order of magnitude.  No simulation routine makes a report:
-the caller that holds the threshold asks ``validate_regime_*`` for one, as
-the command line does once per run at ``--threshold``.
+0.1 means one order of magnitude.  No simulation routine makes a report
+or warns, the first-order expansions included: the caller that holds the
+threshold asks ``validate_regime_*`` for one, as the command line does once
+per run at ``--threshold``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "LEVEL_WARN",
     "LEVEL_VIOLATION",
     "DEFAULT_THRESHOLD",
-    "RegimeWarning",
     "RegimeCheck",
     "RegimeReport",
     "ratio_check",
@@ -44,10 +44,6 @@ DEFAULT_THRESHOLD = 0.1
 
 # relative difference below which ``equality_check`` counts two rates as equal
 _EQUALITY_RTOL = 1e-12
-
-
-class RegimeWarning(UserWarning):
-    """Emitted when a result is produced outside its validity regime."""
 
 
 @dataclass(frozen=True)
@@ -111,11 +107,12 @@ def ratio_check(name: str, numerator: float, denominator: float,
     A condition whose limit is infinite is written cross-multiplied (omega
     << g^2/kappa as omega*kappa against g^2), so a zero rate in it passes.
     A non-positive denominator is a violation when ``hard_denominator`` is
-    set (the quantity is structurally required), otherwise a warning.
+    set (the quantity is structurally required), otherwise a warning; its
+    ratio is infinite, or NaN (printed ``n/a``) when the numerator is 0 too.
     """
     if denominator <= 0.0:
         level = LEVEL_VIOLATION if hard_denominator else LEVEL_WARN
-        ratio = 0.0 if numerator == 0.0 else math.inf
+        ratio = math.nan if numerator == 0.0 else math.inf
         return RegimeCheck(name, ratio, threshold, level, "denominator is not positive")
     ratio = numerator / denominator
     level = LEVEL_PASS if ratio <= threshold else LEVEL_WARN

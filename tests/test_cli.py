@@ -94,7 +94,6 @@ def test_shelving_run_outside_the_dark_regime_reports_once(capsys, threshold, co
     assert row["scheme"] == "shelving"
     assert err.splitlines()[0] == head
     assert err.count("regime report") == 1
-    assert "RegimeWarning" not in err
 
 
 def test_each_scan_point_is_validated_once(capsys, monkeypatch):
@@ -122,6 +121,14 @@ def test_scan_names_each_point_that_fails_a_check(capsys):
         "omega0=0.2: [     warn] omega_much_less_than_g2_over_kappa: ratio=0.1414 threshold=0.1",
         "omega0=0.2: [     warn] omega_much_less_than_kappa: ratio=0.1414 threshold=0.1",
     ]
+
+
+def test_scan_labels_each_point_as_its_row_under_g(capsys):
+    code, out, err = run_cli(capsys, "scan", "--scheme", "raman", "--sweep", "omega-weak",
+                             "--start", "0.03", "--stop", "0.05", "--count", "2", "--g", "2")
+    assert code == 1
+    assert [row["omega0_or_omega20"] for row in parse_rows(out)] == ["0.06", "0.1"]
+    assert sorted({ln.split(":")[0] for ln in err.splitlines()}) == ["omega-weak=0.06", "omega-weak=0.1"]
 
 
 def test_run_shelving_samples_file(capsys, tmp_path):
@@ -256,6 +263,15 @@ def test_validate_reports_each_zero_rate_once(capsys, argv, violated):
     assert [ln.split(":")[0][12:] for ln in out.splitlines() if ln.startswith("[violation]")] == violated
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("raman", "--omega22", "0"), "[violation] omega_eff_much_less_than_geff2_over_kappa: ratio=n/a "),
+    (("lambda", "--omega0", "0", "--gamma", "0"), "[     warn] gamma_much_less_than_omega: ratio=n/a "),
+], ids=["raman", "lambda"])
+def test_validate_prints_a_zero_over_zero_ratio_as_na(capsys, argv, line):
+    _, out, _ = run_cli(capsys, "validate", "--scheme", *argv)
+    assert line in out
+
+
 @pytest.mark.parametrize("flag,code,check,level", [
     ("--omega00", 2, "omega0_eff_equals_omega1_eff", "violation"),
     ("--omega22", 1, "equal_ground_shifts_2", "warn"),
@@ -313,6 +329,14 @@ def test_converge_without_cavity_sector_is_wrong(capsys):
     assert code == 0
     line = next(ln for ln in out.splitlines() if ln.startswith("p0 n_max 0 -> 1"))
     assert float(line.split()[-1]) > 1e-2
+
+
+def test_converge_that_exits_1_prints_its_report_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "converge", "--scheme", "raman", "--omega20", "0.05")
+    assert code == 1
+    assert out.splitlines()[0] == CONVERGE_HEADER
+    assert err.startswith("regime report (raman): 1 warning(s)\n")
+    assert "[     warn] g_much_less_than_omega22:" in err
 
 
 def test_converge_shelving_cutoff_independent(capsys):
@@ -381,6 +405,8 @@ INVALID = [
      "scan supports the lambda and raman schemes"),
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0", "--stop", "0.1",
       "--count", "2", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
+    (("scan", "--scheme", "lambda", "--omega0", "0.1", "--sweep", "gamma", "--start", "0", "--stop", "0.01",
+      "--count", "1", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
     (("run", "--config", "{cfg}"), "scheme=lambda\nomega0 0.1\n", "expected key=value"),
     (("run", "--scheme", "raman", "--omega20", "1e-300", "--omega21", "1e-300"), "",
      "matrix exponential overflows"),

@@ -16,7 +16,6 @@ from cavgate.lambda_gate import (
 from cavgate.metrics import gate_run
 from cavgate.propagator import (
     expm,
-    no_photon_probability,
     output_times,
     plan,
     propagate,
@@ -264,7 +263,7 @@ def test_propagate_matches_first_order_probability():
     basis = build_basis("lambda", 2)
     t = pulse_duration(params)
     p = plan(build_generator_lambda(params, basis), t, n_outputs=100)
-    p0 = no_photon_probability(p, basis_state(basis, 0, "10"), t)
+    p0 = propagate(p, basis_state(basis, 0, "10"), [t])[0].squared_norm()
     assert p0 == pytest.approx(0.81347, abs=5e-2)
 
 
@@ -557,7 +556,7 @@ def test_exact_underflow_is_exempt_from_the_roundoff_bound():
     # the zero that expm returns is exact
     basis = build_basis("shelving", 0)
     gen = ConditionalGenerator(basis, np.diag([-1.0, -2.0, -3.0]).astype(complex))
-    assert no_photon_probability(plan(gen, 1e13), basis_state(basis, 0, "A"), 1e13) == 0.0
+    assert propagate(plan(gen, 1e13), basis_state(basis, 0, "A"), [1e13])[0].squared_norm() == 0.0
 
 
 def test_no_photon_probability_basics():
@@ -565,8 +564,8 @@ def test_no_photon_probability_basics():
     gen = build_generator_shelving(ShelvingParams(0.02, 1.0, 1.0), basis)
     p = plan(gen, 5000.0, n_outputs=500)
     state = basis_state(basis, 0, "A")
-    assert no_photon_probability(p, state, 0.0) == pytest.approx(1.0, abs=1e-12)
-    p_mid = no_photon_probability(p, state, 2500.0)
+    p_start, p_mid = (out.squared_norm() for out in propagate(p, state, [0.0, 2500.0]))
+    assert p_start == pytest.approx(1.0, abs=1e-12)
     assert np.exp(-1.0) / 2.0 <= p_mid <= np.exp(-1.0) * 2.0
 
 

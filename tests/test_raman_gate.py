@@ -82,7 +82,7 @@ def test_ground_configurations_stationary_without_lasers():
 def test_weak_laser_matrix_element():
     params = reference_params(omega21=0.07)
     basis = build_basis("raman", 0)
-    h = build_generator_raman(params, basis).hamiltonian
+    h = 1j * build_generator_raman(params, basis).matrix
     # atom 1 weak field: <e1 0| H |2 0> = omega21 / 2
     assert h[basis.index(0, "e10"), basis.index(0, "20")] == pytest.approx(0.035, abs=1e-15)
     # atom 2 weak field: <0 e0| H |0 2> = omega20 / 2
@@ -94,7 +94,7 @@ def test_decay_part_reads_off_the_damping_terms():
     # else in the build may leak an imaginary diagonal
     params = reference_params(gamma=(0.1, 0.2, 0.3), kappa=0.01)
     basis = build_basis("raman", 2)
-    h = build_generator_raman(params, basis).hamiltonian
+    h = 1j * build_generator_raman(params, basis).matrix
     anti = (h - h.conj().T) / 2.0
     assert np.abs(anti - _expected_decay(params, basis)).max() <= 1e-14
 
@@ -136,7 +136,7 @@ def test_effective_lambda_view_values():
 def test_effective_generator_shift_entries():
     params = reference_params()
     basis = build_basis("lambda", 1)
-    h = build_generator_effective(params, basis).hamiltonian
+    h = 1j * build_generator_effective(params, basis).matrix
     view = effective_lambda_view(params)
     # both atoms in their shifted ground states: diagonal shift of -2e-3
     i00 = basis.index(0, "00")
