@@ -1,11 +1,9 @@
 """Command-line front end: single runs, parameter scans, regime validation
 and convergence studies, with deterministic CSV output.
 
-All rates are entered in units of the atom-cavity coupling g.  The ``--g``
-flag only relabels the output units (rates are multiplied, times divided);
-it never changes the physics, and a value it makes infinite or zero is
-invalid input.  Exit codes: 0 success, 1 the run finished but the regime
-report carries warnings, 2 invalid input or a regime violation.
+All rates are entered and printed in units of the atom-cavity coupling g,
+and times in units of 1/g.  Exit codes: 0 success, 1 the run finished but
+the regime report carries warnings, 2 invalid input or a regime violation.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .shelving import (
 )
 
 CSV_COLUMNS = (
-    "scheme", "omega0_or_omega20", "kappa", "gamma", "g", "delta",
+    "scheme", "omega0_or_omega20", "kappa", "gamma", "delta",
     "omega_strong", "n_max", "T", "p0", "fidelity_conditional",
     "fidelity_unconditional",
 )
@@ -69,7 +67,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _positive(text: str) -> float:
-    """argparse type of a unit scale, threshold or horizon."""
+    """argparse type of a threshold or horizon."""
     x = float(text)
     if not (math.isfinite(x) and x > 0.0):
         raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
@@ -147,8 +145,6 @@ _OPTIONS = (
             f"(default N={DEFAULT_OUTPUTS})", {"type": _count, "metavar": "N"}, default=DEFAULT_OUTPUTS),
     _Option("--threshold", SCHEMES, COMMANDS, f"regime ratio threshold (default {DEFAULT_THRESHOLD:g})",
             {"type": _positive}, default=DEFAULT_THRESHOLD),
-    _Option("--g", SCHEMES, _WRITERS, "unit scale for output columns only (default 1)",
-            {"type": _positive}, default=1.0),
     # outputs, the shelving horizon and the sweep
     _Option("--output", SCHEMES, _WRITERS, "write the result CSV to this path"),
     _Option("--tmax", _SHELVING, ("run",), "survival horizon (default 2 T_dark)", {"type": _positive}),
@@ -291,19 +287,10 @@ def _build_params(scheme: str, values: dict):
     return _PARAMS[scheme](**kw)
 
 
-def _relabel(value: float, gs: float, time: bool = False) -> float:
-    """A rate times ``--g``, or a time divided by it; ValueError if that is not finite or zeroes it."""
-    out = value / gs if time else value * gs
-    if not math.isfinite(out) or (out == 0.0) != (value == 0.0):
-        raise ValueError(f"--g {gs!r} relabels the {'time' if time else 'rate'} {value!r} as {out!r}")
-    return out
-
-
-def _join_per_j(vals: tuple, gs: float) -> str:
-    scaled = [_relabel(v, gs) for v in vals]
-    if all(v == scaled[0] for v in scaled):
-        return _fmt(scaled[0])
-    return ";".join(_fmt(v) for v in scaled)
+def _join_per_j(vals: tuple) -> str:
+    if all(v == vals[0] for v in vals):
+        return _fmt(vals[0])
+    return ";".join(_fmt(v) for v in vals)
 
 
 def _echo_line(command: str, scheme: str, params, values: dict, extra: dict) -> str:
@@ -320,26 +307,22 @@ def _echo_line(command: str, scheme: str, params, values: dict, extra: dict) -> 
 
 
 def _gate_row(scheme: str, params, result, values: dict) -> list:
-    gs = values["g"]
     if scheme == "lambda":
-        weak, gamma, delta, strong = _relabel(params.omega0, gs), _relabel(params.gamma, gs), None, None
+        weak, gamma, delta, strong = params.omega0, params.gamma, None, None
     else:
-        weak = _join_per_j((params.omega20, params.omega21), gs)
-        gamma, delta, strong = (_join_per_j(v, gs)
-                                for v in (params.gamma, params.delta, params.omega_diag))
+        weak = _join_per_j((params.omega20, params.omega21))
+        gamma, delta, strong = (_join_per_j(v) for v in (params.gamma, params.delta, params.omega_diag))
     return [
-        scheme, _fmt(weak), _fmt(_relabel(params.kappa, gs)), _fmt(gamma), _fmt(gs), _fmt(delta),
-        _fmt(strong), str(values["n_max"]), _fmt(_relabel(result.gate_time, gs, time=True)),
+        scheme, _fmt(weak), _fmt(params.kappa), _fmt(gamma), _fmt(delta), _fmt(strong),
+        str(values["n_max"]), _fmt(result.gate_time),
         _fmt(result.p0), _fmt(result.fidelity), _fmt(result.fidelity_unconditional),
     ]
 
 
-def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float, values: dict) -> list:
-    gs = values["g"]
+def _shelving_row(params: ShelvingParams, tmax: float, p0_final: float) -> list:
     return [
-        "shelving", _fmt(_relabel(params.omega_w, gs)), "", _fmt(_relabel(params.gamma_s, gs)),
-        _fmt(gs), "", _fmt(_relabel(params.omega_s, gs)), "", _fmt(_relabel(tmax, gs, time=True)),
-        _fmt(p0_final), "", "",
+        "shelving", _fmt(params.omega_w), "", _fmt(params.gamma_s), "", _fmt(params.omega_s), "",
+        _fmt(tmax), _fmt(p0_final), "", "",
     ]
 
 
@@ -386,15 +369,13 @@ def cmd_run(values: dict, scheme: str) -> int:
         tmax = values["tmax"] or 2.0 * td
         ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
         p0s = survival_probability(params, ts)
-        gs = values["g"]
-        row = _shelving_row(params, tmax, float(p0s[-1]), values)
+        row = _shelving_row(params, tmax, float(p0s[-1]))
         before = (_echo_line("run", scheme, params, values, {"tmax": tmax}),
-                  f"dark_time_estimate={_fmt(_relabel(td, gs, time=True))}",
-                  f"fitted_dark_time={_fmt(_relabel(fit_dark_time(params), gs, time=True))}",
+                  f"dark_time_estimate={_fmt(td)}",
+                  f"fitted_dark_time={_fmt(fit_dark_time(params))}",
                   f"p0_final={_fmt(float(p0s[-1]))}")
         if values["samples_out"]:
-            samples = [f"{_fmt(_relabel(float(t), gs, time=True))},{_fmt(float(p))}\n"
-                       for t, p in zip(ts, p0s)]
+            samples = [f"{_fmt(float(t))},{_fmt(float(p))}\n" for t, p in zip(ts, p0s)]
             with open(values["samples_out"], "w", encoding="utf-8", newline="") as fh:
                 fh.write("t,p0\n" + "".join(samples))
         _emit_csv([",".join(CSV_COLUMNS), ",".join(row)], values["output"], before)
@@ -434,8 +415,7 @@ def cmd_scan(values: dict, scheme: str) -> int:
     for v, (_, _, report) in zip(points.tolist(), outcomes):
         for check in report.checks:
             if check.level != LEVEL_PASS:
-                print(f"{values['sweep']}={_fmt(_relabel(v, values['g']))}: {check.line()}",
-                      file=sys.stderr)
+                print(f"{values['sweep']}={_fmt(v)}: {check.line()}", file=sys.stderr)
     return max(report.exit_code for _, _, report in outcomes)
 
 

@@ -278,11 +278,13 @@ def validate_regime_lambda(params: LambdaParams,
 
     Each condition is one ratio, omega << g^2/kappa taken as omega*kappa
     against 1, so kappa = 0 passes it and is reported once, as the
-    violation of omega << kappa.
+    violation of omega << kappa.  omega0 = 0, which leaves the pulse
+    length undefined, is a violation of gamma << omega.
     """
     om = params.omega
     return RegimeReport(scheme="lambda", checks=(
-        ratio_check("gamma_much_less_than_omega", params.gamma, om, threshold),
+        ratio_check("gamma_much_less_than_omega", params.gamma, om, threshold,
+                    hard_denominator=True),
         ratio_check("omega_much_less_than_g2_over_kappa", om * params.kappa, 1.0, threshold),
         ratio_check("omega_much_less_than_kappa", om, params.kappa, threshold,
                     hard_denominator=True),

@@ -8,8 +8,12 @@ pulse length T and reports
   that no photon was emitted during the pulse, i.e. the success rate),
 * the conditional fidelity |<target|final>|^2 / p0 against the ideal CNOT
   output embedded at zero photons, and
-* the unconditional fidelity, the bare numerator (what one gets without
-  photon detectors flagging failed runs).
+* the unconditional fidelity, the bare numerator |<target|final>|^2.  It
+  is the no-emission branch's share of the channel fidelity
+  <target|rho(T)|target> and so only a lower bound on it: a run in which
+  the cavity emits can still end on the target (lambda at omega0 = 0.1,
+  kappa = 1, gamma = 0, from |10>: 0.8287, where the Lindblad channel
+  gives 0.9233).
 
 Residual population in bus, excited or photon-carrying states lowers the
 fidelity by construction, since the target has support only on the
@@ -39,7 +43,9 @@ __all__ = [
 ]
 
 #: Photon cutoffs that pass the n_max -> n_max + 1 convergence bound of
-#: 1e-6 on p0 over the supported parameter ranges.  The three-level scheme
+#: 1e-6 on p0 where the regime report passes.  Outside it the bound can
+#: fail: at omega0 = 0.1, kappa = 0.3, where omega << kappa warns (ratio
+#: 0.2357), the lambda delta is 4.2e-6.  The three-level scheme
 #: needs one sector more: its drive is stronger relative to the cavity
 #: coupling, so two-photon amplitudes are not quite negligible.
 DEFAULT_N_MAX = {"lambda": 3, "raman": 2}
@@ -67,9 +73,11 @@ def conditional_fidelity(target: StateVector, final: StateVector) -> tuple:
     """(conditional fidelity, unconditional fidelity, p0) of a final state.
 
     ``final`` is the unnormalized conditioned state; ``target`` the ideal
-    unit-norm output.  Both fidelities are moduli, so they are invariant
-    under global phases of either state.  When p0 vanishes the conditional
-    fidelity is undefined and reported as NaN.
+    unit-norm output.  The unconditional fidelity |<target|final>|^2 is the
+    no-emission branch's share of the channel fidelity, a lower bound on it.
+    Both fidelities are moduli, so they are invariant under global phases of
+    either state.  When p0 vanishes the conditional fidelity is undefined
+    and reported as NaN.
     """
     p0 = final.squared_norm()
     unconditional = abs(target.overlap(final)) ** 2
@@ -80,6 +88,10 @@ def conditional_fidelity(target: StateVector, final: StateVector) -> tuple:
 @dataclass(frozen=True)
 class GateResult:
     """Outcome of one conditioned gate run (final_state is unnormalized).
+
+    ``fidelity`` is the conditional fidelity; ``fidelity_unconditional`` is
+    |<target|final_state>|^2, the no-emission branch's share of the channel
+    fidelity and so only a lower bound on it.
 
     It carries no regime report: ``validate_regime_lambda`` or
     ``validate_regime_raman`` gives one, at a threshold of the caller's choice.

@@ -260,7 +260,9 @@ def validate_regime_raman(params: RamanParams,
     (warning when broken) and the separation of the detunings from every
     other rate.  The weak drive is taken against g_eff^2/kappa as
     |omega0_eff|*kappa against g_eff^2, so kappa = 0 passes it and is
-    reported once, as the violation of omega_eff << kappa.
+    reported once, as the violation of omega_eff << kappa.  omega20 = 0 or
+    omega_diag[0] = 0, which leaves the pulse length undefined, is a
+    violation of omega20 << omega_00.
     """
     view = effective_lambda_view(params)
     o00, o11, o22 = params.omega_diag
@@ -274,7 +276,8 @@ def validate_regime_raman(params: RamanParams,
         ratio_check("omega_eff_much_less_than_kappa",
                     abs(view.omega0_eff), params.kappa, threshold,
                     hard_denominator=True),
-        ratio_check("omega20_much_less_than_omega00", params.omega20, o00, threshold),
+        ratio_check("omega20_much_less_than_omega00", params.omega20, o00, threshold,
+                    hard_denominator=True, hard_numerator=True),
         ratio_check("omega21_much_less_than_omega11", params.omega21, o11, threshold),
         ratio_check("g_much_less_than_omega22", 1.0, o22, threshold),
         equality_check("equal_ground_shifts",

@@ -100,8 +100,8 @@ class RegimeReport:
         return [head] + [c.line() for c in self.checks]
 
 
-def ratio_check(name: str, numerator: float, denominator: float,
-                threshold: float, hard_denominator: bool = False) -> RegimeCheck:
+def ratio_check(name: str, numerator: float, denominator: float, threshold: float,
+                hard_denominator: bool = False, hard_numerator: bool = False) -> RegimeCheck:
     """Classify the condition numerator << denominator.
 
     A condition whose limit is infinite is written cross-multiplied (omega
@@ -109,12 +109,17 @@ def ratio_check(name: str, numerator: float, denominator: float,
     A non-positive denominator is a violation when ``hard_denominator`` is
     set (the quantity is structurally required), otherwise a warning; its
     ratio is infinite, or NaN (printed ``n/a``) when the numerator is 0 too.
+    Past that, a zero numerator is a violation when ``hard_numerator`` is
+    set (a drive whose inverse sets the run's time scale); otherwise it
+    passes.
     """
     if denominator <= 0.0:
         level = LEVEL_VIOLATION if hard_denominator else LEVEL_WARN
         ratio = math.nan if numerator == 0.0 else math.inf
         return RegimeCheck(name, ratio, threshold, level, "denominator is not positive")
     ratio = numerator / denominator
+    if hard_numerator and numerator <= 0.0:
+        return RegimeCheck(name, ratio, threshold, LEVEL_VIOLATION, "numerator is not positive")
     level = LEVEL_PASS if ratio <= threshold else LEVEL_WARN
     return RegimeCheck(name, ratio, threshold, level)
 

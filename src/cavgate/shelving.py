@@ -123,12 +123,14 @@ def validate_regime_shelving(params: ShelvingParams,
 
     The first condition is one ratio, omega_w*gamma_s against omega_s^2: a
     zero omega_s violates it, while gamma_s = 0 passes it and is reported
-    once, as the violation of omega_w << gamma_s.
+    once, as the violation of omega_w << gamma_s.  omega_w = 0, which makes
+    the dark time infinite, is a violation of omega_w << gamma_s too.
     """
     return RegimeReport(scheme="shelving", checks=(
         ratio_check("omega_w_much_less_than_omega_s2_over_gamma_s",
                     params.omega_w * params.gamma_s, params.omega_s * params.omega_s, threshold,
                     hard_denominator=True),
         ratio_check("omega_w_much_less_than_gamma_s",
-                    params.omega_w, params.gamma_s, threshold, hard_denominator=True),
+                    params.omega_w, params.gamma_s, threshold,
+                    hard_denominator=True, hard_numerator=True),
     ))

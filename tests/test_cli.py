@@ -123,14 +123,6 @@ def test_scan_names_each_point_that_fails_a_check(capsys):
     ]
 
 
-def test_scan_labels_each_point_as_its_row_under_g(capsys):
-    code, out, err = run_cli(capsys, "scan", "--scheme", "raman", "--sweep", "omega-weak",
-                             "--start", "0.03", "--stop", "0.05", "--count", "2", "--g", "2")
-    assert code == 1
-    assert [row["omega0_or_omega20"] for row in parse_rows(out)] == ["0.06", "0.1"]
-    assert sorted({ln.split(":")[0] for ln in err.splitlines()}) == ["omega-weak=0.06", "omega-weak=0.1"]
-
-
 def test_run_shelving_samples_file(capsys, tmp_path):
     samples = tmp_path / "samples.csv"
     code, out, _ = run_cli(
@@ -256,6 +248,12 @@ def test_validate_exit_codes(capsys):
     # g_eff = 0, and the kappa derived from it is 0 too: two causes
     (("raman", "--omega22", "0"),
      ["omega_eff_much_less_than_geff2_over_kappa", "omega_eff_much_less_than_kappa"]),
+    # a zero drive leaves the pulse length or the dark time undefined, as run refuses it
+    (("lambda", "--omega0", "0"), ["gamma_much_less_than_omega"]),
+    (("raman", "--omega20", "0"), ["omega20_much_less_than_omega00"]),
+    (("shelving", "--omega-w", "0"), ["omega_w_much_less_than_gamma_s"]),
+    # omega0_eff = 0 also unbalances the effective drives: two causes
+    (("raman", "--omega00", "0"), ["omega0_eff_equals_omega1_eff", "omega20_much_less_than_omega00"]),
 ], ids=" ".join)
 def test_validate_reports_each_zero_rate_once(capsys, argv, violated):
     code, out, err = run_cli(capsys, "validate", "--scheme", *argv)
@@ -265,7 +263,7 @@ def test_validate_reports_each_zero_rate_once(capsys, argv, violated):
 
 @pytest.mark.parametrize("argv,line", [
     (("raman", "--omega22", "0"), "[violation] omega_eff_much_less_than_geff2_over_kappa: ratio=n/a "),
-    (("lambda", "--omega0", "0", "--gamma", "0"), "[     warn] gamma_much_less_than_omega: ratio=n/a "),
+    (("lambda", "--omega0", "0", "--gamma", "0"), "[violation] gamma_much_less_than_omega: ratio=n/a "),
 ], ids=["raman", "lambda"])
 def test_validate_prints_a_zero_over_zero_ratio_as_na(capsys, argv, line):
     _, out, _ = run_cli(capsys, "validate", "--scheme", *argv)
@@ -287,6 +285,7 @@ def test_validate_raman_strong_field_whose_square_overflows(capsys, flag, code, 
 DARK_TIME_NOT_FINITE = [
     ("run", "--omega-w", "0.02", "--omega-s", "1e200"),
     ("run", "--omega-w", "1e-200"),
+    ("run", "--omega-w", "0"),
     ("converge", "--omega-w", "1e-200"),
     ("run", "--omega-w", "0.02", "--omega-s", "0"),
     ("run", "--omega-w", "0.02", "--gamma-s", "1e-320"),
@@ -374,7 +373,7 @@ def test_config_file_unknown_key(capsys, tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("spacing", "logg"), ("initial", "xx"),
-    ("g", "-1"), ("threshold", "nan"), ("n-outputs", "0"), ("count", "0"),
+    ("threshold", "nan"), ("n-outputs", "0"), ("count", "0"),
     ("relax-window", "maybe"),
 ])
 def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
@@ -419,6 +418,12 @@ INVALID = [
       "--count", "1000000000000000000"), "", "error: Unable to allocate"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
      "error: Unable to allocate"),
+    # a zero drive, which validate reports as a violation
+    (("run", "--scheme", "lambda", "--omega0", "0"), "", "error: pulse duration is undefined for omega0 = 0\n"),
+    (("run", "--scheme", "raman", "--omega20", "0"), "",
+     "error: pulse duration requires omega20 > 0 and omega_diag[0] > 0\n"),
+    (("run", "--scheme", "raman", "--omega00", "0"), "",
+     "error: pulse duration requires omega20 > 0 and omega_diag[0] > 0\n"),
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
     (("run", "--scheme", "raman", "--delta", "1e-310"), "",
      "error: kappa defaults to |g_eff| = omega_diag[2]/(2 delta[2]), which is not finite "
@@ -501,41 +506,40 @@ def test_unwritable_output_path(capsys, tmp_path):
     assert "missing_dir" in err
 
 
-def test_g_scale_relabels_output(capsys):
-    code, out, _ = run_cli(
-        capsys, "run", "--scheme", "lambda", "--omega0", "0.1", "--g", "2.0",
-    )
-    assert code == 0
-    (row,) = parse_rows(out)
-    assert float(row["omega0_or_omega20"]) == pytest.approx(0.2)
-    assert float(row["kappa"]) == pytest.approx(2.0)
-    assert float(row["g"]) == 2.0
-    assert float(row["T"]) == pytest.approx(62.83185307179586 / 2.0)
-    # physics is unchanged
-    assert abs(float(row["p0"]) - 0.83) <= 0.01
-
-
 LAMBDA = ("--scheme", "lambda", "--omega0", "0.1")
 SHELVING = ("--scheme", "shelving", "--omega-w", "0.02")
 SCAN = ("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
         "--count", "2")
 
 
-@pytest.mark.parametrize("argv,what", [
-    (("run", *LAMBDA, "--g", "1e-320"), "time 62.83"),  # T printed as inf
-    (("run", *LAMBDA, "--gamma", "0.001", "--g", "5e-324"), "rate 0.1"),  # omega0 printed as 0.0
-    ((*SCAN, "--g", "1e-320"), "time 125.6"),
-    (("run", "--scheme", "raman", "--g", "1e-320"), "time 125663.7"),
-    (("run", *SHELVING, "--g", "1e-320", "--samples-out", "{samples}"), "time 5000.0"),  # before either file
-], ids=["lambda-time", "lambda-rate", "scan", "raman", "shelving"])
-def test_g_that_breaks_a_relabelled_value_is_invalid_input(capsys, tmp_path, argv, what):
-    output, samples = tmp_path / "out.csv", tmp_path / "samples.csv"
-    argv = [a.replace("{samples}", str(samples)) for a in argv]
-    code, out, err = run_cli(capsys, *argv, "--output", str(output))
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: --g {float(argv[argv.index('--g') + 1])!r} relabels the {what}")
-    assert not output.exists() and not samples.exists()
+@pytest.mark.parametrize("argv,points", [
+    (("run", *LAMBDA), [LambdaParams(0.1)]),
+    (("run", *LAMBDA, "--kappa", "2", "--gamma", "0.001"), [LambdaParams(0.1, kappa=2.0, gamma=0.001)]),
+    (SCAN, [LambdaParams(0.05), LambdaParams(0.1)]),
+    (("run", "--scheme", "raman", "--omega20", "0.01"), [RamanParams(omega20=0.01)]),
+], ids=["lambda", "lambda-rates", "scan", "raman"])
+def test_rows_print_the_rates_and_gate_time_the_run_used(capsys, argv, points):
+    # g is the unit: no printed rate or time is rescaled
+    _, out, _ = run_cli(capsys, *argv)
+    rows = parse_rows(out)
+    assert len(rows) == len(points)
+    for row, params in zip(rows, points):
+        result = gate_run(row["scheme"], params, [0.0, 0.0, 1.0, 0.0])
+        weak = params.omega0 if row["scheme"] == "lambda" else params.omega20
+        assert (row["omega0_or_omega20"], row["kappa"], row["T"]) == (
+            _fmt(weak), _fmt(params.kappa), _fmt(result.gate_time))
+
+
+def test_shelving_prints_the_times_the_run_used(capsys, tmp_path):
+    samples = tmp_path / "samples.csv"
+    _, out, _ = run_cli(capsys, "run", *SHELVING, "--n-outputs", "4", "--samples-out", str(samples))
+    params = ShelvingParams(0.02)
+    tmax = 2.0 * dark_time(params)
+    (row,) = parse_rows(out)
+    assert row["T"] == _fmt(tmax)
+    assert f"dark_time_estimate={_fmt(dark_time(params))}" in out.splitlines()
+    times = [line.split(",")[0] for line in samples.read_text().splitlines()[1:]]
+    assert times == [_fmt(float(t)) for t in np.linspace(0.0, tmax, 5)]
 
 
 REJECTED = [
@@ -543,8 +547,6 @@ REJECTED = [
      ("--delta (flag)", "--omega-w (flag)", "--tmax (flag)")),
     (("validate", *LAMBDA, "--output", "x.csv", "--relax-window"), "",
      ("--output (flag)", "--relax-window (flag)")),
-    (("validate", *LAMBDA, "--g", "2"), "", ("--g (flag)",)),
-    (("converge", *LAMBDA, "--g", "2"), "", ("--g (flag)",)),
     (("converge", *LAMBDA, "--output", "x.csv"), "", ("--output (flag)",)),
     (("converge", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
     (("run", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
@@ -602,13 +604,10 @@ def test_run_option_flag_overrides_file_overrides_default(capsys, tmp_path, conf
     cfg.write_text(config)
     code, out, _ = run_cli(capsys, "run", *LAMBDA, "--config", str(cfg), *flags)
     assert code == 0
-    assert f" {echoed} " in out.splitlines()[0]
+    assert out.splitlines()[0].endswith(f" {echoed}")
 
 
 @pytest.mark.parametrize("argv", [
-    ("run", *LAMBDA, "--g", "-1"),
-    ("run", *LAMBDA, "--g", "nan"),
-    ("run", *LAMBDA, "--g", "0"),
     ("run", *LAMBDA, "--threshold", "nan"),
     ("run", *LAMBDA, "--threshold", "-1"),
     ("run", *LAMBDA, "--threshold", "inf"),
@@ -625,18 +624,21 @@ def test_scale_threshold_horizon_and_counts_are_checked(capsys, argv):
     assert f"argument {argv[-2]}: expected" in err
 
 
-@pytest.mark.parametrize("argv,config", [
-    (("run", *LAMBDA, "--eps", "1e-9"), ""),
-    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\neps=1e-9\n"),
-], ids=["flag", "config"])
-def test_eps_is_not_an_option(capsys, tmp_path, argv, config):
-    # every exponential is taken at unit roundoff, so there is no accuracy target to set
+@pytest.mark.parametrize("argv,config,message", [
+    (("run", *LAMBDA, "--eps", "1e-9"), "", "unrecognized arguments: --eps"),
+    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\neps=1e-9\n", "unknown configuration key 'eps'"),
+    (("run", *LAMBDA, "--g", "2"), "", "ambiguous option: --g could match"),
+    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\ng=2\n", "unknown configuration key 'g'"),
+], ids=["flag", "config", "g-flag", "g-config"])
+def test_eps_is_not_an_option(capsys, tmp_path, argv, config, message):
+    # every exponential is taken at unit roundoff, so there is no accuracy target to set;
+    # nor is there a coupling g to set, since every rate and time is in units of g
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(config)
     code, out, err = run_cli(capsys, *(a.replace("{cfg}", str(cfg)) for a in argv))
     assert code == 2
     assert out == ""
-    assert "eps" in err
+    assert message in err
 
 
 def test_help_names_schemes_and_commands_of_every_option():
@@ -675,35 +677,35 @@ SHELVING_ROW = "fitted_dark_time fit_points -> 2x"
 PINNED = [
     (("run", "--scheme", "lambda", "--omega0", "0.1"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "threshold=0.1 g=1.0"),
+     "threshold=0.1"),
     (("run", "--scheme", "raman", "--omega20", "0.05", "--gamma", "0.2"), 1,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=1000.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 threshold=0.1 g=1.0"),
+     "omega_strong=2.0;2.0;2.0 gamma=0.2;0.2;0.2 initial=10 n_max=2 threshold=0.1"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--omega-s", "1", "--gamma-s", "1"), 0,
      "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=500 "
-     "threshold=0.1 g=1.0 tmax=5000.0"),
+     "threshold=0.1 tmax=5000.0"),
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.05", "--stop", "0.1",
       "--count", "2", "--spacing", "log"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.0 initial=10 n_max=3 relax_window=False "
-     "threshold=0.1 g=1.0 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
+     "threshold=0.1 sweep=omega0 start=0.05 stop=0.1 count=2 spacing=log"),
     (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
       "--count", "2"), 1,
      "# params: scheme=raman omega20=0.03 omega21=0.03 kappa=0.001 delta=1000.0;1000.0;1000.0 "
      "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 "
-     "threshold=0.1 g=1.0 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
+     "threshold=0.1 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
     (("run", "--config", "{cfg}", "--threshold", "0.2"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.001 initial=11 n_max=2 relax_window=True "
-     "threshold=0.2 g=1.0"),
+     "threshold=0.2"),
     (("run", "--scheme", "lambda", "--omega0", "0.1", "--gamma", "0.001", "--relax-window"), 0,
      "# params: scheme=lambda omega0=0.1 kappa=1.0 gamma=0.001 initial=10 n_max=3 relax_window=True "
-     "threshold=0.1 g=1.0"),
+     "threshold=0.1"),
     (("run", "--scheme", "raman", "--delta0", "700"), 2,
      "# params: scheme=raman omega20=0.05 omega21=0.05 kappa=0.001 delta=700.0;1000.0;1000.0 "
-     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 threshold=0.1 g=1.0"),
+     "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 threshold=0.1"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "1000", "--n-outputs", "4",
-      "--g", "2", "--samples-out", "{samples}"), 0,
+      "--samples-out", "{samples}"), 0,
      "# params: scheme=shelving omega_w=0.02 omega_s=1.0 gamma_s=1.0 n_outputs=4 "
-     "threshold=0.1 g=2.0 tmax=1000.0"),
+     "threshold=0.1 tmax=1000.0"),
     (("converge", "--scheme", "lambda", "--omega0", "0.1"), 0, CONVERGE_HEADER),
     (("converge", "--scheme", "raman", "--omega20", "0.05"), 1, CONVERGE_HEADER),
     (("converge", "--scheme", "shelving", "--omega-w", "0.02"), 0, CONVERGE_HEADER),
@@ -741,8 +743,8 @@ PINNED = [
      "[     pass] omega_w_much_less_than_gamma_s: ratio=0.02 threshold=0.1\n"),
 ]
 
-SAMPLES = ("t,p0\n0.0,1.0\n125.0,0.9055610120483178\n250.0,0.8193855011312482\n"
-           "375.0,0.7414106730870205\n500.0,0.6708561298783586\n")
+SAMPLES = ("t,p0\n0.0,1.0\n250.0,0.9055610120483178\n500.0,0.8193855011312482\n"
+           "750.0,0.7414106730870205\n1000.0,0.6708561298783586\n")
 
 
 @pytest.mark.parametrize("argv,code,expected", PINNED, ids=[" ".join(p[0]) for p in PINNED])
