@@ -57,15 +57,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _positive(text: str) -> float:
     """argparse type of a threshold or horizon."""
     x = float(text)
@@ -100,7 +91,7 @@ class _Option(NamedTuple):
 
     @property
     def dest(self) -> str:
-        """The config-file key with underscores: the name in ``# params:``."""
+        """The flag name with underscores: the name in ``# params:``."""
         return self.flag[2:].replace("-", "_")
 
     def used(self, command: str, scheme: str) -> bool:
@@ -118,7 +109,6 @@ def _per_j(flag: str, field: str, what: str) -> tuple:
 
 
 _OPTIONS = (
-    _Option("--config", SCHEMES, COMMANDS, "flat key=value file; command-line flags override it"),
     _Option("--scheme", SCHEMES, COMMANDS, "level scheme", {"choices": SCHEMES}),
     # rates: fields of LambdaParams, RamanParams and ShelvingParams
     _rate("--omega0", _LAMBDA, "laser Rabi frequency"),
@@ -159,17 +149,31 @@ _OPTIONS = (
 _PARAMS = {"lambda": LambdaParams, "raman": RamanParams, "shelving": ShelvingParams}
 
 
-def _build_parser() -> tuple:
-    """The command-line parser, and the keys a --config file may set.
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads each line of ``@FILE`` as one flag: ``key=value`` or a bare switch."""
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list:
+        line = arg_line.strip()
+        if not line or line.startswith("#"):
+            return []
+        key, eq, value = line.partition("=")
+        return [f"--{key.strip()}{eq}{value.strip()}"]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.
 
     Every command takes every option of the table, so that an option set
-    where the run would not read it reaches ``_reject_unused`` from a flag
-    or from a file alike.  A config key is a long option without its
-    dashes, mapped to the option's action.
+    where the run would not read it reaches ``_reject_unused``.  Flags match
+    only when spelled in full, on the command line and in ``@FILE`` alike.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavgate",
         description="Conditional no-emission gate dynamics for atoms in a lossy cavity.",
+        epilog="@FILE reads arguments from FILE: one key=value or bare switch per line, "
+               "# for comments; later arguments override earlier ones.",
+        allow_abbrev=False,
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"cavgate {__version__}")
     parser.add_argument("command", choices=COMMANDS, help="; ".join(
@@ -178,66 +182,20 @@ def _build_parser() -> tuple:
             "sweep one lambda or raman rate, one CSV row per point",
             "print the regime report and exit accordingly",
             "report n_max -> n_max+1 deltas"))))
-    config_keys = {}
     for row in _OPTIONS:
         where = (", ".join(row.schemes) if row.schemes != SCHEMES else "all schemes",
                  ", ".join(row.commands) if row.commands != COMMANDS else "all commands")
-        config_keys[row.flag[2:]] = parser.add_argument(
-            row.flag, help=f"{row.help} [{'; '.join(where)}]", **row.kwargs)
-    del config_keys["config"]
-    return parser, config_keys
+        parser.add_argument(row.flag, help=f"{row.help} [{'; '.join(where)}]", **row.kwargs)
+    return parser
 
 
-def _config_value(action: argparse.Action, text: str):
-    """Convert and check a config-file value as the parser would the flag's."""
-    if action.nargs == 0:  # store_true
-        return _parse_bool(text)
-    value = action.type(text) if action.type else text
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(repr(c) for c in action.choices)
-        raise ValueError(f"invalid choice {value!r} (choose from {choices})")
-    return value
-
-
-def _load_config_file(path: str, config_keys: dict) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            action = config_keys.get(key)
-            if action is None:
-                raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            try:
-                values[action.dest] = _config_value(action, val.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return values
-
-
-def _resolve(args: argparse.Namespace, config_keys: dict) -> tuple:
-    """Every option of ``_OPTIONS``, resolved once: ``(values, sources)``.
-
-    A flag overrides the config file, and the file overrides the row's default
-    (the scheme's entry where the default is per scheme; None if unset).
-    ``sources[dest]`` says where each option that was set came from: "flag",
-    "config file", or both.
-    """
-    layers = (("flag", vars(args)),
-              ("config file", _load_config_file(args.config, config_keys) if args.config else {}))
-    values, sources = {}, {}
-    for row in _OPTIONS:
-        given = [(name, layer[row.dest]) for name, layer in layers if layer.get(row.dest) is not None]
-        if given:
-            sources[row.dest] = " and ".join(name for name, _ in given)
-        values[row.dest] = given[0][1] if given else row.default
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every option of ``_OPTIONS``: the value given, else the row's default
+    (the scheme's entry where the default is per scheme; None if unset)."""
+    values = {row.dest: row.default if getattr(args, row.dest) is None else getattr(args, row.dest)
+              for row in _OPTIONS}
     scheme = values["scheme"]  # only a default is a dict, with one entry per scheme
-    return {dest: v.get(scheme) if isinstance(v, dict) else v for dest, v in values.items()}, sources
+    return {dest: v.get(scheme) if isinstance(v, dict) else v for dest, v in values.items()}
 
 
 def _require(values: dict, dest: str):
@@ -261,16 +219,16 @@ def _swept(values: dict, scheme: str) -> tuple:
     return rates[sweep]
 
 
-def _reject_unused(values: dict, sources: dict, command: str, scheme: str) -> None:
+def _reject_unused(args: argparse.Namespace, values: dict, scheme: str) -> None:
     """Raise ValueError naming every option set that this run would not read."""
-    swept = _swept(values, scheme) if command == "scan" else ()
+    swept = _swept(values, scheme) if args.command == "scan" else ()
     stray = [
-        f"{row.flag} ({sources[row.dest]}{'; --sweep sets it' if row.dest in swept else ''})"
+        f"{row.flag}{' (--sweep sets it)' if row.dest in swept else ''}"
         for row in _OPTIONS
-        if row.dest in sources and (not row.used(command, scheme) or row.dest in swept)
+        if getattr(args, row.dest) is not None and (not row.used(args.command, scheme) or row.dest in swept)
     ]
     if stray:
-        raise ValueError(f"{command} --scheme {scheme} does not read " + ", ".join(stray))
+        raise ValueError(f"{args.command} --scheme {scheme} does not read " + ", ".join(stray))
 
 
 def _build_params(scheme: str, values: dict):
@@ -453,12 +411,11 @@ def cmd_converge(values: dict, scheme: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser, config_keys = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        values, sources = _resolve(args, config_keys)
+        values = _resolve(args)
         scheme = _require(values, "scheme")
-        _reject_unused(values, sources, args.command, scheme)
+        _reject_unused(args, values, scheme)
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
         return handler[args.command](values, scheme)
     except (ValueError, TypeError, OSError, ArithmeticError, MemoryError) as exc:

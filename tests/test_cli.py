@@ -351,50 +351,68 @@ def test_converge_shelving_cutoff_independent(capsys):
     assert delta <= 1e-8 * base
 
 
-def test_config_file_and_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("scheme=lambda\nomega0=0.05\nkappa=1.0\ninitial=10\n")
-    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+def test_argument_file_and_flag_override(capsys, tmp_path):
+    args = tmp_path / "w.args"
+    args.write_text("scheme=lambda\n omega0 = 0.05 \nthreshold=0.2\n")
+    code, out, _ = run_cli(capsys, "run", f"@{args}")
     assert code == 0
-    (row,) = parse_rows(out)
-    assert row["omega0_or_omega20"] == "0.05"
-    code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--omega0", "0.1")
+    assert (code, out) == run_cli(capsys, "run", "--scheme", "lambda", "--omega0", "0.05", "--threshold", "0.2")[:2]
+    code, out, _ = run_cli(capsys, "run", f"@{args}", "--omega0", "0.1")
     (row,) = parse_rows(out)
     assert row["omega0_or_omega20"] == "0.1"
 
 
-def test_config_file_unknown_key(capsys, tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("omega_zero=0.1\n")
-    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+def test_argument_file_unknown_key(capsys, tmp_path):
+    args = tmp_path / "w.args"
+    args.write_text("omega_zero=0.1\n")
+    code, out, err = run_cli(capsys, "run", f"@{args}")
     assert code == 2
-    assert "omega_zero" in err
+    assert out == ""
+    assert "unrecognized arguments: --omega_zero=0.1" in err
 
 
-@pytest.mark.parametrize("key,value", [
-    ("spacing", "logg"), ("initial", "xx"),
-    ("threshold", "nan"), ("n-outputs", "0"), ("count", "0"),
-    ("relax-window", "maybe"),
+@pytest.mark.parametrize("key,value,message", [
+    ("spacing", "logg", "argument --spacing: invalid choice: 'logg'"),
+    ("initial", "xx", "argument --initial: invalid choice: 'xx'"),
+    ("threshold", "nan", "argument --threshold: expected a positive finite number"),
+    ("n-outputs", "0", "argument --n-outputs: expected an integer >= 1"),
+    ("count", "0", "argument --count: expected an integer >= 1"),
+    # a switch is a bare line; "no" is not read as off
+    ("relax-window", "no", "argument --relax-window: ignored explicit argument 'no'"),
 ])
-def test_config_file_value_outside_choices(capsys, tmp_path, key, value):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(f"{key}={value}\n")
-    code, _, err = run_cli(
-        capsys, "scan", "--config", str(cfg), "--scheme", "lambda", "--sweep", "omega0",
+def test_argument_file_value_outside_choices(capsys, tmp_path, key, value, message):
+    args = tmp_path / "w.args"
+    args.write_text(f"{key}={value}\n")
+    code, out, err = run_cli(
+        capsys, "scan", f"@{args}", "--scheme", "lambda", "--sweep", "omega0",
         "--start", "0.05", "--stop", "0.1", "--count", "2",
     )
     assert code == 2
-    assert f"bad value for {key!r}" in err
+    assert out == ""
+    assert message in err
 
 
-def test_config_file_comments_and_false_switch(capsys, tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("# a comment line\nscheme=lambda\nomega0=0.1\ngamma=0.001\nrelax-window=off\n")
-    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+@pytest.mark.parametrize("switch,echoed", [
+    ("  relax-window  \n", "relax_window=True"),
+    ("", "relax_window=False"),
+], ids=["bare", "absent"])
+def test_argument_file_comments_and_bare_switch(capsys, tmp_path, switch, echoed):
+    args = tmp_path / "w.args"
+    args.write_text(f"# a comment line\n\nscheme=lambda\nomega0=0.1\ngamma=0.001\n{switch}")
+    code, out, _ = run_cli(capsys, "run", f"@{args}")
     assert code == 0
-    assert "relax_window=False" in out.splitlines()[0]
+    assert echoed in out.splitlines()[0]
     (row,) = parse_rows(out)
     assert row["gamma"] == "0.001"
+
+
+@pytest.mark.parametrize("flag", [("--thr", "0.2"), ("--tm", "9"), ("--rel",)], ids=" ".join)
+def test_flags_match_only_when_spelled_in_full(capsys, flag):
+    # each is a unique prefix of one flag (--threshold, --tmax, --relax-window)
+    code, out, err = run_cli(capsys, "run", "--scheme", "lambda", "--omega0", "0.1", *flag)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 SWEEP = ("--sweep", "omega0", "--start", "0.05", "--stop", "0.1", "--count", "2")
@@ -406,7 +424,8 @@ INVALID = [
       "--count", "2", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
     (("scan", "--scheme", "lambda", "--omega0", "0.1", "--sweep", "gamma", "--start", "0", "--stop", "0.01",
       "--count", "1", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
-    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0 0.1\n", "expected key=value"),
+    (("run", "@{cfg}"), "scheme=lambda\nomega0 0.1\n", "unrecognized arguments: --omega0 0.1"),
+    (("run", "@{cfg}.missing"), "", "No such file or directory: '"),
     (("run", "--scheme", "raman", "--omega20", "1e-300", "--omega21", "1e-300"), "",
      "matrix exponential overflows"),
     *((("scan", "--scheme", "lambda", *SWEEP[:i], *SWEEP[i + 2:]), "",
@@ -542,42 +561,42 @@ def test_shelving_prints_the_times_the_run_used(capsys, tmp_path):
     assert times == [_fmt(float(t)) for t in np.linspace(0.0, tmax, 5)]
 
 
+RAMAN_SCAN = ("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
+              "--count", "2")
+# the whole stderr line, so that each option is named once and nothing else is
 REJECTED = [
     (("run", *LAMBDA, "--delta", "5", "--omega-w", "3", "--tmax", "9"), "",
-     ("--delta (flag)", "--omega-w (flag)", "--tmax (flag)")),
+     "run --scheme lambda does not read --delta, --omega-w, --tmax"),
     (("validate", *LAMBDA, "--output", "x.csv", "--relax-window"), "",
-     ("--output (flag)", "--relax-window (flag)")),
-    (("converge", *LAMBDA, "--output", "x.csv"), "", ("--output (flag)",)),
-    (("converge", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    (("run", *LAMBDA, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    ((*SCAN, "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    (("run", "--scheme", "raman", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
-      "--count", "2", "--n-outputs", "3"), "", ("--n-outputs (flag)",)),
-    (("run", *SHELVING, "--n-max", "9"), "", ("--n-max (flag)",)),
-    (("run", *SHELVING, "--initial", "11"), "", ("--initial (flag)",)),
-    (("converge", *SHELVING, "--tmax", "1000"), "", ("--tmax (flag)",)),
-    ((*SCAN, "--omega0", "0.3"), "", ("--omega0 (flag; --sweep sets it)",)),
-    (("scan", "--scheme", "raman", "--sweep", "omega-weak", "--start", "0.03", "--stop", "0.05",
-      "--count", "2", "--omega21", "0.04"), "", ("--omega21 (flag; --sweep sets it)",)),
-    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\ndelta=5\n",
-     ("--delta (config file)",)),
-    (("validate", "--config", "{cfg}", "--omega-w", "3"), "scheme=lambda\nomega0=0.1\nomega-w=2\n",
-     ("--omega-w (flag and config file)",)),
-    ((*SCAN, "--config", "{cfg}"), "omega0=0.3\n", ("--omega0 (config file; --sweep sets it)",)),
+     "validate --scheme lambda does not read --relax-window, --output"),
+    (("converge", *LAMBDA, "--output", "x.csv"), "", "converge --scheme lambda does not read --output"),
+    (("converge", *LAMBDA, "--n-outputs", "3"), "", "converge --scheme lambda does not read --n-outputs"),
+    (("run", *LAMBDA, "--n-outputs", "3"), "", "run --scheme lambda does not read --n-outputs"),
+    ((*SCAN, "--n-outputs", "3"), "", "scan --scheme lambda does not read --n-outputs"),
+    (("run", "--scheme", "raman", "--n-outputs", "3"), "", "run --scheme raman does not read --n-outputs"),
+    ((*RAMAN_SCAN, "--n-outputs", "3"), "", "scan --scheme raman does not read --n-outputs"),
+    (("run", *SHELVING, "--n-max", "9"), "", "run --scheme shelving does not read --n-max"),
+    (("run", *SHELVING, "--initial", "11"), "", "run --scheme shelving does not read --initial"),
+    (("converge", *SHELVING, "--tmax", "1000"), "", "converge --scheme shelving does not read --tmax"),
+    ((*SCAN, "--omega0", "0.3"), "", "scan --scheme lambda does not read --omega0 (--sweep sets it)"),
+    ((*RAMAN_SCAN, "--omega21", "0.04"), "",
+     "scan --scheme raman does not read --omega21 (--sweep sets it)"),
+    (("run", "@{cfg}"), "scheme=lambda\nomega0=0.1\ndelta=5\n", "run --scheme lambda does not read --delta"),
+    (("validate", "@{cfg}", "--omega-w", "3"), "scheme=lambda\nomega0=0.1\nomega-w=2\n",
+     "validate --scheme lambda does not read --omega-w"),
+    ((*SCAN, "@{cfg}"), "omega0=0.3\n", "scan --scheme lambda does not read --omega0 (--sweep sets it)"),
 ]
 
 
-@pytest.mark.parametrize("argv,config,named", REJECTED, ids=[" ".join(r[0]) for r in REJECTED])
-def test_option_the_run_would_not_read_exits_2(capsys, tmp_path, argv, config, named):
+@pytest.mark.parametrize("argv,config,message", REJECTED, ids=[" ".join(r[0]) for r in REJECTED])
+def test_option_the_run_would_not_read_exits_2(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(config)
     argv = [a.replace("{cfg}", str(cfg)).replace("x.csv", str(tmp_path / "x.csv")) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    for text in named:
-        assert text in err
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -594,15 +613,17 @@ def test_unwritable_path_exits_2_with_nothing_on_stdout(capsys, tmp_path, argv):
     assert "missing_dir" in err
 
 
-@pytest.mark.parametrize("config,flags,echoed", [
-    ("n-max=2\nthreshold=0.2\n", ("--n-max", "3"), "n_max=3 relax_window=False threshold=0.2"),
-    ("n-max=2\nthreshold=0.2\n", (), "n_max=2 relax_window=False threshold=0.2"),
-    ("", (), "n_max=3 relax_window=False threshold=0.1"),
-], ids=["flag", "file", "default"])
-def test_run_option_flag_overrides_file_overrides_default(capsys, tmp_path, config, flags, echoed):
+@pytest.mark.parametrize("before,config,after,echoed", [
+    ((), "n-max=2\nthreshold=0.2\n", ("--n-max", "3"), "n_max=3 relax_window=False threshold=0.2"),
+    ((), "n-max=2\nthreshold=0.2\n", (), "n_max=2 relax_window=False threshold=0.2"),
+    (("--n-max", "3"), "n-max=2\nthreshold=0.2\n", (), "n_max=2 relax_window=False threshold=0.2"),
+    ((), "", (), "n_max=3 relax_window=False threshold=0.1"),
+], ids=["flag-after", "file", "flag-before", "default"])
+def test_run_option_later_argument_overrides_earlier_and_default(capsys, tmp_path, before, config, after,
+                                                                 echoed):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(config)
-    code, out, _ = run_cli(capsys, "run", *LAMBDA, "--config", str(cfg), *flags)
+    code, out, _ = run_cli(capsys, "run", *LAMBDA, *before, f"@{cfg}", *after)
     assert code == 0
     assert out.splitlines()[0].endswith(f" {echoed}")
 
@@ -626,9 +647,9 @@ def test_scale_threshold_horizon_and_counts_are_checked(capsys, argv):
 
 @pytest.mark.parametrize("argv,config,message", [
     (("run", *LAMBDA, "--eps", "1e-9"), "", "unrecognized arguments: --eps"),
-    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\neps=1e-9\n", "unknown configuration key 'eps'"),
-    (("run", *LAMBDA, "--g", "2"), "", "ambiguous option: --g could match"),
-    (("run", "--config", "{cfg}"), "scheme=lambda\nomega0=0.1\ng=2\n", "unknown configuration key 'g'"),
+    (("run", "@{cfg}"), "scheme=lambda\nomega0=0.1\neps=1e-9\n", "unrecognized arguments: --eps=1e-9"),
+    (("run", *LAMBDA, "--g", "2"), "", "unrecognized arguments: --g"),
+    (("run", "@{cfg}"), "scheme=lambda\nomega0=0.1\ng=2\n", "unrecognized arguments: --g=2"),
 ], ids=["flag", "config", "g-flag", "g-config"])
 def test_eps_is_not_an_option(capsys, tmp_path, argv, config, message):
     # every exponential is taken at unit roundoff, so there is no accuracy target to set;
@@ -642,16 +663,18 @@ def test_eps_is_not_an_option(capsys, tmp_path, argv, config, message):
 
 
 def test_help_names_schemes_and_commands_of_every_option():
-    _, config_keys = _build_parser()
-    for key, action in config_keys.items():
-        where = action.help[action.help.rindex("[") + 1:-1]
+    actions = {action.option_strings[0]: action for action in _build_parser()._actions
+               if action.option_strings}
+    for row in _OPTIONS:
+        help = actions[row.flag].help
+        where = help[help.rindex("[") + 1:-1]
         schemes, commands = where.split("; ")
-        assert schemes == "all schemes" or set(schemes.split(", ")) <= set(SCHEMES), key
-        assert commands == "all commands" or set(commands.split(", ")) <= set(COMMANDS), key
+        assert schemes == "all schemes" or set(schemes.split(", ")) <= set(SCHEMES), row.flag
+        assert commands == "all commands" or set(commands.split(", ")) <= set(COMMANDS), row.flag
     for key in ("delta0", "delta1", "delta2", "omega00", "omega11", "omega22",
                 "gamma0", "gamma1", "gamma2"):
-        assert config_keys[key].help.endswith("[raman; all commands]")
-    assert config_keys["tmax"].help.endswith("[shelving; run]")
+        assert actions[f"--{key}"].help.endswith("[raman; all commands]")
+    assert actions["--tmax"].help.endswith("[shelving; run]")
 
 
 
@@ -693,7 +716,7 @@ PINNED = [
      "# params: scheme=raman omega20=0.03 omega21=0.03 kappa=0.001 delta=1000.0;1000.0;1000.0 "
      "omega_strong=2.0;2.0;2.0 gamma=0.0;0.0;0.0 initial=10 n_max=2 "
      "threshold=0.1 sweep=omega-weak start=0.03 stop=0.05 count=2 spacing=linear"),
-    (("run", "--config", "{cfg}", "--threshold", "0.2"), 0,
+    (("run", "@{cfg}", "--threshold", "0.2"), 0,
      "# params: scheme=lambda omega0=0.05 kappa=1.0 gamma=0.001 initial=11 n_max=2 relax_window=True "
      "threshold=0.2"),
     (("run", "--scheme", "lambda", "--omega0", "0.1", "--gamma", "0.001", "--relax-window"), 0,
@@ -750,7 +773,7 @@ SAMPLES = ("t,p0\n0.0,1.0\n250.0,0.9055610120483178\n500.0,0.8193855011312482\n"
 @pytest.mark.parametrize("argv,code,expected", PINNED, ids=[" ".join(p[0]) for p in PINNED])
 def test_valid_command_lines_echo_byte_identically(capsys, tmp_path, argv, code, expected):
     cfg, samples = tmp_path / "cfg.txt", tmp_path / "samples.csv"
-    cfg.write_text("scheme=lambda\nomega0=0.05\nkappa=1.0\ninitial=11\nrelax-window=yes\n"
+    cfg.write_text("scheme=lambda\nomega0=0.05\nkappa=1.0\ninitial=11\nrelax-window\n"
                    "gamma=0.001\nn-max=2\n")
     argv = [a.format(cfg=cfg, samples=samples) for a in argv]
     got, out, _ = run_cli(capsys, *argv)
