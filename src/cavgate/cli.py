@@ -57,20 +57,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _positive(text: str) -> float:
-    """argparse type of a threshold or horizon."""
-    x = float(text)
-    if not (math.isfinite(x) and x > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return x
+def _argtype(convert, accept, expected: str):
+    """An argparse type: ``convert`` the text, and refuse it unless ``accept`` holds."""
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            x = None
+        if x is None or not accept(x):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return x
+    return parse
 
 
-def _count(text: str) -> int:
-    """argparse type of a number of samples or scan points."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+_positive = _argtype(float, lambda x: math.isfinite(x) and x > 0.0, "a positive finite number")
+_count = _argtype(int, lambda n: n >= 1, "an integer >= 1")
 
 
 class _Option(NamedTuple):
@@ -112,23 +113,24 @@ _OPTIONS = (
     _Option("--scheme", SCHEMES, COMMANDS, "level scheme", {"choices": SCHEMES}),
     # rates: fields of LambdaParams, RamanParams and ShelvingParams
     _rate("--omega0", _LAMBDA, "laser Rabi frequency"),
-    _rate("--omega20", _RAMAN, "weak field on atom 2 (default 0.05)"),
+    _rate("--omega20", _RAMAN, f"weak field on atom 2 (default {RamanParams.omega20:g})"),
     _rate("--omega21", _RAMAN, "weak field on atom 1 (default omega20)"),
-    _rate("--kappa", _GATES, "cavity decay (default 1 for lambda, |g_eff| for raman)"),
-    _rate("--delta", _RAMAN, "detuning broadcast over j (default 1000)"),
+    _rate("--kappa", _GATES, f"cavity decay (default {LambdaParams.kappa:g} for lambda, |g_eff| for raman)"),
+    _rate("--delta", _RAMAN, f"detuning broadcast over j (default {RamanParams.delta[0]:g})"),
     *_per_j("--delta{j}", "delta", "detuning"),
-    _rate("--omega-strong", _RAMAN, "strong Rabi frequency broadcast over j (default 2)", "omega_diag"),
+    _rate("--omega-strong", _RAMAN,
+          f"strong Rabi frequency broadcast over j (default {RamanParams.omega_diag[0]:g})", "omega_diag"),
     *_per_j("--omega{j}{j}", "omega_diag", "strong Rabi frequency"),
-    _rate("--gamma", _GATES, "atomic decay (default 0; broadcast over j for raman)"),
+    _rate("--gamma", _GATES, f"atomic decay (default {LambdaParams.gamma:g}; broadcast over j for raman)"),
     *_per_j("--gamma{j}", "gamma", "atomic decay"),
     _rate("--omega-w", _SHELVING, "weak Rabi frequency"),
-    _rate("--omega-s", _SHELVING, "strong Rabi frequency (default 1)"),
-    _rate("--gamma-s", _SHELVING, "upper-level decay (default 1)"),
+    _rate("--omega-s", _SHELVING, f"strong Rabi frequency (default {ShelvingParams.omega_s:g})"),
+    _rate("--gamma-s", _SHELVING, f"upper-level decay (default {ShelvingParams.gamma_s:g})"),
     # run options
     _Option("--initial", _GATES, _GATE_RUNS, "initial qubit configuration (default 10)",
             {"choices": QUBIT_CONFIGS}, default="10"),
-    _Option("--n-max", _GATES, _GATE_RUNS, "photon-number cutoff (default 3 for lambda, 2 for raman)",
-            {"type": int}, default=DEFAULT_N_MAX),
+    _Option("--n-max", _GATES, _GATE_RUNS, "photon-number cutoff (default {lambda:g} for lambda, "
+            "{raman:g} for raman)".format_map(DEFAULT_N_MAX), {"type": int}, default=DEFAULT_N_MAX),
     _Option("--relax-window", _LAMBDA, _GATE_RUNS, "append a laser-free window of 5/gamma before scoring",
             {"action": "store_true", "default": None}, default=False),
     _Option("--n-outputs", _SHELVING, ("run",), f"--samples-out holds N+1 samples over [0, tmax] "
@@ -296,20 +298,19 @@ def _emit_csv(lines: list, output: str | None, before: tuple = ()) -> None:
     sys.stdout.write("".join(line + "\n" for line in before) + text)
 
 
-def _validate(scheme: str, params, threshold: float):
-    if scheme == "lambda":
-        return validate_regime_lambda(params, threshold)
-    if scheme == "raman":
-        return validate_regime_raman(params, threshold)
-    return validate_regime_shelving(params, threshold)
+def _validate(scheme: str, values: dict) -> tuple:
+    """``(params, report)``: the scheme's parameters from ``values`` and their regime report."""
+    params = _build_params(scheme, values)
+    # read at each call, so that a module-level name replaced later (a tracer) is the one run
+    validators = {"lambda": validate_regime_lambda, "raman": validate_regime_raman,
+                  "shelving": validate_regime_shelving}
+    return params, validators[scheme](params, values["threshold"])
 
 
 def _gate(scheme: str, point: dict) -> tuple:
     """``(params, result, report)`` of one gate run at a resolved point."""
-    params = _build_params(scheme, point)
-    report = _validate(scheme, params, point["threshold"])
-    initial = np.zeros(4, dtype=np.complex128)
-    initial[QUBIT_CONFIGS.index(point["initial"])] = 1.0
+    params, report = _validate(scheme, point)
+    initial = np.eye(4)[QUBIT_CONFIGS.index(point["initial"])]
     result = gate_run(scheme, params, initial, n_max=point["n_max"], relax_window=point["relax_window"])
     return params, result, report
 
@@ -321,8 +322,7 @@ def cmd_run(values: dict, scheme: str) -> int:
         _emit_csv([_echo_line("run", scheme, params, values, {}), ",".join(CSV_COLUMNS),
                    ",".join(_gate_row(scheme, params, result, values))], values["output"])
     else:
-        params = _build_params(scheme, values)
-        report = _validate(scheme, params, values["threshold"])
+        params, report = _validate(scheme, values)
         td = dark_time(params)
         tmax = values["tmax"] or 2.0 * td
         ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
@@ -378,7 +378,7 @@ def cmd_scan(values: dict, scheme: str) -> int:
 
 
 def cmd_validate(values: dict, scheme: str) -> int:
-    report = _validate(scheme, _build_params(scheme, values), values["threshold"])
+    _, report = _validate(scheme, values)
     for line in report.lines():
         print(line)
     return report.exit_code
@@ -387,8 +387,7 @@ def cmd_validate(values: dict, scheme: str) -> int:
 def cmd_converge(values: dict, scheme: str) -> int:
     if scheme == "shelving":
         # the shelving model has no photon cutoff, so only the fit refines
-        params = _build_params(scheme, values)
-        report = _validate(scheme, params, values["threshold"])
+        params, report = _validate(scheme, values)
         rows = [
             ("fitted_dark_time fit_points -> 2x", fit_dark_time(params),
              fit_dark_time(params, n_points=400)),

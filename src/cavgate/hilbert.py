@@ -111,9 +111,10 @@ class SchemeMismatchError(ValueError):
 
 def as_integer(name: str, value) -> int:
     """``value`` as an int: integers and integral floats such as 2.0 pass;
-    2.7, "3" or inf raise a ValueError naming ``name``."""
+    True, 2.7, "3" or inf raise a ValueError naming ``name``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # a flag, not a count, though operator.index takes it
+            return operator.index(value)
     except TypeError:
         if isinstance(value, (float, np.floating)) and float(value).is_integer():
             return int(value)
@@ -182,7 +183,6 @@ class Basis:
             raise SchemeMismatchError(f"expected a {scheme!r} basis, got {self.scheme!r}")
 
 
-@functools.lru_cache(maxsize=32)
 def build_basis(scheme: str, n_max: int) -> Basis:
     """Construct the deterministic basis for a level scheme.
 
@@ -202,7 +202,12 @@ def build_basis(scheme: str, n_max: int) -> Basis:
     n_max = as_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n_max = 0 if scheme == "shelving" else n_max
+    return _basis(scheme, 0 if scheme == "shelving" else n_max)
+
+
+# keyed on checked arguments: True == 1 would otherwise hit the cutoff-1 entry
+@functools.lru_cache(maxsize=32)
+def _basis(scheme: str, n_max: int) -> Basis:
     labels = tuple((n, c) for n in range(n_max + 1) for c in _CONFIGS[scheme])
     index = {lab: i for i, lab in enumerate(labels)}
     return Basis(scheme=scheme, n_max=n_max, labels=labels, _index=index)

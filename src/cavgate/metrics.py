@@ -132,34 +132,29 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     simulated, and the caller asks ``validate_regime_*`` for the report.
     """
     v = qubit_state(psi)
-    if scheme == "lambda":
-        if not isinstance(params, LambdaParams):
-            raise TypeError(f"scheme 'lambda' needs LambdaParams, got {type(params).__name__}")
-        if relax_window and params.gamma <= 0.0:
-            raise ValueError("relax_window requires gamma > 0 (the window length is 5/gamma)")
-        t_gate = pulse_duration(params)
-        basis = build_basis("lambda", DEFAULT_N_MAX["lambda"] if n_max is None else n_max)
-        gen = build_generator_lambda(params, basis)
-    elif scheme == "raman":
-        if not isinstance(params, RamanParams):
-            raise TypeError(f"scheme 'raman' needs RamanParams, got {type(params).__name__}")
-        if relax_window:
-            raise ValueError("the relaxation window applies to the lambda scheme only")
-        t_gate = raman_pulse_duration(params)
-        basis = build_basis("raman", DEFAULT_N_MAX["raman"] if n_max is None else n_max)
-        gen = build_generator_raman(params, basis)
-    else:
+    # read at each call, so that a module-level name replaced later (a tracer) is the one run
+    gates = {"lambda": (LambdaParams, pulse_duration, build_generator_lambda),
+             "raman": (RamanParams, raman_pulse_duration, build_generator_raman)}
+    if scheme not in gates:
         raise ValueError(f"no gate is defined for scheme {scheme!r}")
+    kind, duration, build_generator = gates[scheme]
+    if not isinstance(params, kind):
+        raise TypeError(f"scheme {scheme!r} needs {kind.__name__}, got {type(params).__name__}")
+    if relax_window and kind is not LambdaParams:
+        raise ValueError("the relaxation window applies to the lambda scheme only")
+    if relax_window and params.gamma <= 0.0:
+        raise ValueError("relax_window requires gamma > 0 (the window length is 5/gamma)")
+    t_gate = duration(params)
+    basis = build_basis(scheme, DEFAULT_N_MAX[scheme] if n_max is None else n_max)
+    gen = build_generator(params, basis)
 
     p = plan(gen, t_gate, min_substeps=min_substeps)
     final = propagate(p, embed_qubit_state(basis, v), [t_gate])[0]
 
     if relax_window:
-        dark = LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma)
-        gen2 = build_generator_lambda(dark, basis)
         t_relax = 5.0 / params.gamma
-        p2 = plan(gen2, t_relax, min_substeps=min_substeps)
-        final = propagate(p2, final, [t_relax])[0]
+        dark = build_generator_lambda(LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma), basis)
+        final = propagate(plan(dark, t_relax, min_substeps=min_substeps), final, [t_relax])[0]
 
     target = embed_qubit_state(basis, cnot_target(v))
     fid, fid_unc, p0 = conditional_fidelity(target, final)

@@ -437,6 +437,15 @@ INVALID = [
       "--count", "1000000000000000000"), "", "error: Unable to allocate"),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
      "error: Unable to allocate"),
+    # a value that does not parse names the expected type, not a helper's name
+    (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.01", "--stop", "0.1", "--count", "1.5"), "",
+     "argument --count: expected an integer >= 1, got '1.5'\n"),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "x"), "",
+     "argument --n-outputs: expected an integer >= 1, got 'x'\n"),
+    (("run", "--scheme", "lambda", "--omega0", "0.1", "--threshold", "abc"), "",
+     "argument --threshold: expected a positive finite number, got 'abc'\n"),
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "abc"), "",
+     "argument --tmax: expected a positive finite number, got 'abc'\n"),
     # a zero drive, which validate reports as a violation
     (("run", "--scheme", "lambda", "--omega0", "0"), "", "error: pulse duration is undefined for omega0 = 0\n"),
     (("run", "--scheme", "raman", "--omega20", "0"), "",

@@ -198,6 +198,19 @@ def test_non_integral_cutoffs_and_photon_numbers_are_rejected():
         build_basis("lambda", 2).index(1.9, "00")
     with pytest.raises(ValueError, match="n_max"):
         fock_lowering(2.7)
+    # a bool is a flag, not a count: n_max=True would quietly run at cutoff 1,
+    # also where the cutoff-1 basis is cached
+    build_basis("lambda", 1)
+    with pytest.raises(ValueError, match="^n_max must be an integer, got True$"):
+        build_basis("lambda", True)
+    with pytest.raises(ValueError, match="^n_max must be an integer, got True$"):
+        gate_run("lambda", LambdaParams(0.1), [0, 0, 1, 0], n_max=True)
+    with pytest.raises(ValueError, match="^n must be an integer, got True$"):
+        build_basis("lambda", 2).index(True, "00")
+    with pytest.raises(ValueError, match="^min_substeps must be an integer, got True$"):
+        gate_run("lambda", LambdaParams(0.1), [0, 0, 1, 0], min_substeps=True)
+    with pytest.raises(ValueError, match="^n_outputs must be an integer, got True$"):
+        plan(build_generator_shelving(ShelvingParams(0.02)), 1.0, n_outputs=True)
     # integral floats still name the integer
     assert build_basis("raman", 1.0) is build_basis("raman", 1)
     assert build_basis("lambda", 2).index(1.0, "00") == 9

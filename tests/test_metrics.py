@@ -169,6 +169,21 @@ def test_gate_run_input_validation():
         gate_run("lambda", LambdaParams(omega0=0.1), [[0, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("scheme,params,kw,error,message", [
+    ("shelving", LambdaParams(omega0=0.1), {}, ValueError, "no gate is defined for scheme 'shelving'"),
+    ("raman", LambdaParams(omega0=0.1), {}, TypeError, "scheme 'raman' needs RamanParams, got LambdaParams"),
+    ("lambda", RamanParams(), {}, TypeError, "scheme 'lambda' needs LambdaParams, got RamanParams"),
+    ("raman", RamanParams(), {"relax_window": True}, ValueError,
+     "the relaxation window applies to the lambda scheme only"),
+    ("lambda", LambdaParams(omega0=0.1, gamma=0.0), {"relax_window": True}, ValueError,
+     "relax_window requires gamma > 0 (the window length is 5/gamma)"),
+], ids=["unknown_scheme", "lambda_params_to_raman", "raman_params_to_lambda", "relax_raman", "relax_gamma_0"])
+def test_gate_run_refusal_messages(scheme, params, kw, error, message):
+    with pytest.raises(error) as exc:
+        gate_run(scheme, params, E10, **kw)
+    assert str(exc.value) == message
+
+
 def test_gate_run_superposition_input():
     psi = (E00 + E10) / np.sqrt(2)
     res = gate_run("lambda", LambdaParams(omega0=0.05, kappa=1.0), psi)
