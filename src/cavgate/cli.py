@@ -38,7 +38,7 @@ CSV_COLUMNS = (
 )
 
 COMMANDS = ("run", "scan", "validate", "converge")
-_GATES = ("lambda", "raman")
+_GATES = tuple(DEFAULT_N_MAX)
 _LAMBDA, _RAMAN, _SHELVING = ("lambda",), ("raman",), ("shelving",)
 _GATE_RUNS = ("run", "scan", "converge")  # commands that run a gate
 _WRITERS = ("run", "scan")  # commands that print result rows
@@ -209,8 +209,6 @@ def _require(values: dict, dest: str):
 
 def _swept(values: dict, scheme: str) -> tuple:
     """The dests a scan sets at each point: one broadcast rate, or omega-weak."""
-    if scheme == "shelving":
-        raise ValueError("scan supports the lambda and raman schemes; use run for shelving")
     sweep = _require(values, "sweep")
     rates = {row.flag[2:]: (row.dest,) for row in _OPTIONS
              if row.field and row.j is None and scheme in row.schemes}
@@ -385,22 +383,14 @@ def cmd_validate(values: dict, scheme: str) -> int:
 
 
 def cmd_converge(values: dict, scheme: str) -> int:
-    if scheme == "shelving":
-        # the shelving model has no photon cutoff, so only the fit refines
-        params, report = _validate(scheme, values)
-        rows = [
-            ("fitted_dark_time fit_points -> 2x", fit_dark_time(params),
-             fit_dark_time(params, n_points=400)),
-        ]
-    else:
-        n = values["n_max"]
-        (_, base, report), (_, finer_n, _) = (_gate(scheme, point)
-                                              for point in (values, {**values, "n_max": n + 1}))
-        rows = [
-            (f"p0 n_max {n} -> {n + 1}", base.p0, finer_n.p0),
-            (f"fidelity n_max {n} -> {n + 1}", base.fidelity, finer_n.fidelity),
-        ]
-
+    """The p0 and fidelity of a gate run at n_max and n_max + 1, and their distance."""
+    n = values["n_max"]
+    (_, base, report), (_, finer_n, _) = (_gate(scheme, point)
+                                          for point in (values, {**values, "n_max": n + 1}))
+    rows = [
+        (f"p0 n_max {n} -> {n + 1}", base.p0, finer_n.p0),
+        (f"fidelity n_max {n} -> {n + 1}", base.fidelity, finer_n.fidelity),
+    ]
     print(f"{'quantity':<38} {'base':<24} {'refined':<24} |delta|")
     for name, a, b in rows:
         print(f"{name:<38} {_fmt(float(a)):<24} {_fmt(float(b)):<24} {abs(b - a):.3e}")
@@ -414,6 +404,9 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args)
         scheme = _require(values, "scheme")
+        if args.command in ("scan", "converge") and scheme not in _GATES:
+            raise ValueError(f"{args.command} supports the {' and '.join(_GATES)} schemes; "
+                             f"use run for {scheme}")
         _reject_unused(args, values, scheme)
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
         return handler[args.command](values, scheme)

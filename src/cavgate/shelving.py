@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import Basis, ConditionalGenerator, as_integer, basis_state, build_basis, set_rates
+from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis, set_rates
 from .propagator import plan, propagate
 from .regime import DEFAULT_THRESHOLD, RegimeReport, ratio_check
 
@@ -93,21 +93,16 @@ def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
     return np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
 
 
-def fit_dark_time(params: ShelvingParams, n_points: int = 200) -> float:
+def fit_dark_time(params: ShelvingParams) -> float:
     """Dark time from a single-exponential fit of the survival decay.
 
-    The survival curve is sampled once, on the n_points + 1 even times over
-    [0, 2 T_dark] around the analytic estimate.  The samples from index
-    n_points // 20 on (from T_dark/10 when 20 divides n_points) give the
-    returned -1/slope of a least-squares line through log P0(t).
+    The survival curve is sampled once, on the 201 even times over
+    [0, 2 T_dark] around the analytic estimate.  The samples from T_dark/10
+    on give the returned -1/slope of a least-squares line through log P0(t).
     """
-    n_points = as_integer("n_points", n_points)
-    if n_points < 2:
-        raise ValueError(f"a fit needs n_points >= 2, got {n_points!r}")
-    td = dark_time(params)
-    ts = np.linspace(0.0, 2.0 * td, n_points + 1)
+    ts = np.linspace(0.0, 2.0 * dark_time(params), 201)
     p0 = survival_probability(params, ts)
-    ts, p0 = ts[n_points // 20:], p0[n_points // 20:]
+    ts, p0 = ts[10:], p0[10:]
     if np.any(p0 <= 0.0):
         raise ArithmeticError("survival vanished inside the fit window")
     design = np.column_stack([ts, np.ones_like(ts)])

@@ -71,11 +71,17 @@ def test_run_shelving_fit(capsys):
     assert float(row["p0"]) == pytest.approx(np.exp(-2.0), rel=0.5)
 
 
-@pytest.mark.parametrize("command", ["run", "converge"])
-def test_shelving_survival_and_fit_are_one_exponential_each(capsys, exponentials, command):
-    code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
+def test_shelving_survival_and_fit_are_one_exponential_each(capsys, exponentials):
+    code, _, _ = run_cli(capsys, "run", "--scheme", "shelving", "--omega-w", "0.02")
     assert code == 0
     assert len(exponentials.expm) <= 2
+
+
+@pytest.mark.parametrize("command", ["scan", "converge"])
+def test_scan_and_converge_refuse_shelving_before_any_exponential(capsys, exponentials, command):
+    code, _, _ = run_cli(capsys, command, "--scheme", "shelving", "--omega-w", "0.02")
+    assert code == 2
+    assert exponentials.expm == []
 
 
 @pytest.mark.parametrize("threshold,code,head", [
@@ -286,7 +292,6 @@ DARK_TIME_NOT_FINITE = [
     ("run", "--omega-w", "0.02", "--omega-s", "1e200"),
     ("run", "--omega-w", "1e-200"),
     ("run", "--omega-w", "0"),
-    ("converge", "--omega-w", "1e-200"),
     ("run", "--omega-w", "0.02", "--omega-s", "0"),
     ("run", "--omega-w", "0.02", "--gamma-s", "1e-320"),
 ]
@@ -336,19 +341,6 @@ def test_converge_that_exits_1_prints_its_report_on_stderr(capsys):
     assert out.splitlines()[0] == CONVERGE_HEADER
     assert err.startswith("regime report (raman): 1 warning(s)\n")
     assert "[     warn] g_much_less_than_omega22:" in err
-
-
-def test_converge_shelving_cutoff_independent(capsys):
-    # the shelving model has no photon cutoff: the fit is the only refinement
-    code, out, _ = run_cli(
-        capsys, "converge", "--scheme", "shelving", "--omega-w", "0.02",
-    )
-    assert code == 0
-    (row,) = out.splitlines()[1:]
-    assert row.startswith("fitted_dark_time fit_points -> 2x")
-    base, _, delta = (float(x) for x in row.split()[-3:])
-    assert base == pytest.approx(2500.0, rel=1e-3)
-    assert delta <= 1e-8 * base
 
 
 def test_argument_file_and_flag_override(capsys, tmp_path):
@@ -418,8 +410,17 @@ def test_flags_match_only_when_spelled_in_full(capsys, flag):
 SWEEP = ("--sweep", "omega0", "--start", "0.05", "--stop", "0.1", "--count", "2")
 INVALID = [
     (("run", "--omega0", "0.1"), "", "missing required parameter '--scheme'"),
-    (("scan", "--scheme", "shelving", "--omega-w", "0.02"), "",
-     "scan supports the lambda and raman schemes"),
+    # the shelving model has no photon cutoff and nothing to sweep
+    # and the scheme is refused before its rates and flags are read
+    *(((command, "--scheme", "shelving", *extra), "",
+       f"error: {command} supports the lambda and raman schemes; use run for shelving\n")
+      for command, extra in (
+          ("scan", ("--omega-w", "0.02")),
+          ("scan", ("--sweep", "omega-w", "--start", "0.01", "--stop", "0.02", "--count", "2")),
+          ("converge", ("--omega-w", "0.02")),
+          ("converge", ("--omega-w", "0.02", "--tmax", "1000")),
+          ("converge", ("--omega-w", "1e-200")),
+          ("converge", ("--omega-w", "1e-9")))),
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0", "--stop", "0.1",
       "--count", "2", "--spacing", "log"), "", "log spacing requires positive --start and --stop"),
     (("scan", "--scheme", "lambda", "--omega0", "0.1", "--sweep", "gamma", "--start", "0", "--stop", "0.01",
@@ -467,8 +468,7 @@ INVALID = [
           ("run", "lambda", "--omega0", "1e-300"),
           ("run", "lambda", "--omega0", "1e-12"),
           ("run", "shelving", "--omega-w", "1e-8"),
-          ("run", "shelving", "--omega-w", "1e-9"),
-          ("converge", "shelving", "--omega-w", "1e-9"))),
+          ("run", "shelving", "--omega-w", "1e-9"))),
 ]
 
 
@@ -586,7 +586,6 @@ REJECTED = [
     ((*RAMAN_SCAN, "--n-outputs", "3"), "", "scan --scheme raman does not read --n-outputs"),
     (("run", *SHELVING, "--n-max", "9"), "", "run --scheme shelving does not read --n-max"),
     (("run", *SHELVING, "--initial", "11"), "", "run --scheme shelving does not read --initial"),
-    (("converge", *SHELVING, "--tmax", "1000"), "", "converge --scheme shelving does not read --tmax"),
     ((*SCAN, "--omega0", "0.3"), "", "scan --scheme lambda does not read --omega0 (--sweep sets it)"),
     ((*RAMAN_SCAN, "--omega21", "0.04"), "",
      "scan --scheme raman does not read --omega21 (--sweep sets it)"),
@@ -702,7 +701,6 @@ def test_flag_before_the_command_runs_as_after_it(capsys):
 
 CONVERGE_HEADER = "quantity                               base                     refined                  |delta|"
 GATE_ROWS = ("p0 n_max {n} -> {m}", "fidelity n_max {n} -> {m}")
-SHELVING_ROW = "fitted_dark_time fit_points -> 2x"
 
 # first stdout line and exit code of valid command lines; the # params: line
 # echoes exactly the rates and run options the run reads
@@ -740,7 +738,6 @@ PINNED = [
      "threshold=0.1 tmax=1000.0"),
     (("converge", "--scheme", "lambda", "--omega0", "0.1"), 0, CONVERGE_HEADER),
     (("converge", "--scheme", "raman", "--omega20", "0.05"), 1, CONVERGE_HEADER),
-    (("converge", "--scheme", "shelving", "--omega-w", "0.02"), 0, CONVERGE_HEADER),
     (("validate", "--scheme", "lambda", "--omega0", "0.1"), 0,
      "regime report (lambda): all conditions satisfied\n"
      "[     pass] gamma_much_less_than_omega: ratio=0 threshold=0.1\n"
@@ -793,8 +790,8 @@ def test_valid_command_lines_echo_byte_identically(capsys, tmp_path, argv, code,
     lines = out.splitlines()
     assert lines[0] == expected
     if argv[0] == "converge":
-        n = {"lambda": 3, "raman": 2}.get(argv[2])
-        rows = [r.format(n=n, m=n + 1) for r in GATE_ROWS] if n else [SHELVING_ROW]
+        n = {"lambda": 3, "raman": 2}[argv[2]]
+        rows = [r.format(n=n, m=n + 1) for r in GATE_ROWS]
         assert [ln[:38].rstrip() for ln in lines[1:]] == rows
     if "--samples-out" in argv:
         assert samples.read_text() == SAMPLES

@@ -93,17 +93,18 @@ def test_fitted_dark_time_matches_estimate():
     assert 2500.0 / 2.0 <= fitted <= 2500.0 * 2.0
 
 
-@pytest.mark.parametrize("n_points", [1, 0, -5])
-def test_fit_dark_time_needs_two_points(n_points):
-    with pytest.raises(ValueError, match="n_points >= 2"):
-        fit_dark_time(ShelvingParams(0.02, 1.0, 1.0), n_points)
+def test_fitted_dark_time_keeps_its_201_samples():
+    assert fit_dark_time(ShelvingParams(0.02)) == pytest.approx(2500.0004001593784, rel=1e-12)
 
 
-def test_fit_dark_time_takes_an_integral_count():
-    params = ShelvingParams(0.02, 1.0, 1.0)
-    with pytest.raises(ValueError, match="n_points"):
-        fit_dark_time(params, 2.5)
-    assert fit_dark_time(params, 2.0) == fit_dark_time(params, 2)
+# relative distance of the fit from the slow-eigenvalue time -1/(2 Re lambda):
+# roundoff deep in the dark-period regime, a bias once omega_w nears gamma_s
+@pytest.mark.parametrize("omega_w,low,high", [(0.02, 0.0, 1e-12), (0.2, 0.01, 0.02), (0.3, 0.05, 0.06)])
+def test_fitted_dark_time_against_the_slow_eigenvalue(omega_w, low, high):
+    params = ShelvingParams(omega_w)
+    eigenvalues = np.linalg.eigvals(build_generator_shelving(params).matrix)
+    slow = -1.0 / (2.0 * eigenvalues.real.max())
+    assert low <= abs(fit_dark_time(params) - slow) / slow <= high
 
 
 def test_fitted_dark_time_scalings():

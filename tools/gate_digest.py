@@ -8,10 +8,10 @@ lambda_grid, raman_grid and raman_long_pulse, in the order of
 ``perfbench/workloads.py``, contributes
 ``(final_state.amplitudes + 0.0).tobytes()`` and then
 ``repr((p0, fidelity, fidelity_unconditional))``; one digest is printed per
-workload and one over all calls.  Each cli_cold command runs as a cold
-``python -m cavgate`` process, and its exit code and a digest of its
-stdout are printed.  The digests depend on numpy and BLAS builds, so they
-compare two checkouts on one machine, not machines.
+workload and one over all calls.  Each cli_cold command, and then
+``--help``, runs as a cold ``python -m cavgate`` process, and its exit code
+and a digest of its stdout are printed.  The digests depend on numpy and
+BLAS builds, so they compare two checkouts on one machine, not machines.
 """
 
 import hashlib
@@ -57,10 +57,10 @@ def main(argv=None) -> int:
     print(f"{'all':<18} {calls:>4} calls  {total.hexdigest()}")
 
     env = dict(os.environ, PYTHONPATH=str(src))
-    for cmd in workloads.CLI_SESSION:
-        proc = subprocess.run([sys.executable, "-m", "cavgate", *cmd.argv], cwd=root, env=env,
+    for label, argv in [*((cmd.label, cmd.argv) for cmd in workloads.CLI_SESSION), ("help", ("--help",))]:
+        proc = subprocess.run([sys.executable, "-m", "cavgate", *argv], cwd=root, env=env,
                               capture_output=True, check=False)
-        print(f"{cmd.label:<18} exit {proc.returncode}  {hashlib.sha256(proc.stdout).hexdigest()}")
+        print(f"{label:<18} exit {proc.returncode}  {hashlib.sha256(proc.stdout).hexdigest()}")
     return 0
 
 
