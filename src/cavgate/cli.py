@@ -39,7 +39,9 @@ CSV_COLUMNS = (
 
 COMMANDS = ("run", "scan", "validate", "converge")
 _GATES = tuple(DEFAULT_N_MAX)
+_SCHEMES_OF = dict(zip(COMMANDS, (SCHEMES, _GATES, SCHEMES, _GATES)))  # the schemes each command runs
 _LAMBDA, _RAMAN, _SHELVING = ("lambda",), ("raman",), ("shelving",)
+_INITIAL = "10"  # the control atom in 1, the target in 0
 _GATE_RUNS = ("run", "scan", "converge")  # commands that run a gate
 _WRITERS = ("run", "scan")  # commands that print result rows
 
@@ -100,8 +102,9 @@ class _Option(NamedTuple):
 
 
 def _rate(flag: str, schemes: tuple, help: str, field: str | None = None, j: int | None = None):
-    """A rate in units of g, read by every command of its schemes."""
-    return _Option(flag, schemes, COMMANDS, help, {"type": float}, field or flag[2:].replace("-", "_"), j)
+    """A rate in units of g, read by every command that runs its schemes."""
+    commands = tuple(c for c in COMMANDS if set(schemes) <= set(_SCHEMES_OF[c]))
+    return _Option(flag, schemes, commands, help, {"type": float}, field or flag[2:].replace("-", "_"), j)
 
 
 def _per_j(flag: str, field: str, what: str) -> tuple:
@@ -127,8 +130,8 @@ _OPTIONS = (
     _rate("--omega-s", _SHELVING, f"strong Rabi frequency (default {ShelvingParams.omega_s:g})"),
     _rate("--gamma-s", _SHELVING, f"upper-level decay (default {ShelvingParams.gamma_s:g})"),
     # run options
-    _Option("--initial", _GATES, _GATE_RUNS, "initial qubit configuration (default 10)",
-            {"choices": QUBIT_CONFIGS}, default="10"),
+    _Option("--initial", _GATES, _GATE_RUNS, f"initial qubit configuration (default {_INITIAL})",
+            {"choices": QUBIT_CONFIGS}, default=_INITIAL),
     _Option("--n-max", _GATES, _GATE_RUNS, "photon-number cutoff (default {lambda:g} for lambda, "
             "{raman:g} for raman)".format_map(DEFAULT_N_MAX), {"type": int}, default=DEFAULT_N_MAX),
     _Option("--relax-window", _LAMBDA, _GATE_RUNS, "append a laser-free window of 5/gamma before scoring",
@@ -323,8 +326,7 @@ def cmd_run(values: dict, scheme: str) -> int:
         params, report = _validate(scheme, values)
         td = dark_time(params)
         tmax = values["tmax"] or 2.0 * td
-        ts = np.linspace(0.0, tmax, values["n_outputs"] + 1)
-        p0s = survival_probability(params, ts)
+        ts, p0s = survival_probability(params, tmax, values["n_outputs"])
         row = _shelving_row(params, tmax, float(p0s[-1]))
         before = (_echo_line("run", scheme, params, values, {"tmax": tmax}),
                   f"dark_time_estimate={_fmt(td)}",
@@ -344,8 +346,6 @@ def _sweep_values(values: dict, spacing: str) -> np.ndarray:
     start, stop, count = (_require(values, dest) for dest in ("start", "stop", "count"))
     if spacing == "log" and (start <= 0.0 or stop <= 0.0):
         raise ValueError("log spacing requires positive --start and --stop")
-    if count == 1:
-        return np.array([start])
     if spacing == "log":
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
@@ -404,9 +404,9 @@ def main(argv=None) -> int:
     try:
         values = _resolve(args)
         scheme = _require(values, "scheme")
-        if args.command in ("scan", "converge") and scheme not in _GATES:
-            raise ValueError(f"{args.command} supports the {' and '.join(_GATES)} schemes; "
-                             f"use run for {scheme}")
+        if scheme not in _SCHEMES_OF[args.command]:
+            supported = " and ".join(_SCHEMES_OF[args.command])
+            raise ValueError(f"{args.command} supports the {supported} schemes; use run for {scheme}")
         _reject_unused(args, values, scheme)
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
         return handler[args.command](values, scheme)

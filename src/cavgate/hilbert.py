@@ -279,10 +279,10 @@ def basis_state(basis: Basis, n: int, config: str) -> StateVector:
 def qubit_indices(basis: Basis) -> tuple:
     """Indices of the four zero-photon computational configurations.
 
-    Order follows ``QUBIT_CONFIGS`` (control atom first); valid for the
-    lambda and raman schemes.
+    Order follows ``QUBIT_CONFIGS`` (control atom first); valid for a
+    scheme whose configurations contain them (lambda and raman).
     """
-    if basis.scheme not in ("lambda", "raman"):
+    if not set(QUBIT_CONFIGS) <= set(_CONFIGS[basis.scheme]):
         raise SchemeMismatchError(f"no qubit subspace in the {basis.scheme!r} scheme")
     return tuple(basis.index(0, c) for c in QUBIT_CONFIGS)
 

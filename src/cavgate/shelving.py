@@ -73,24 +73,21 @@ def dark_time(params: ShelvingParams) -> float:
     return td
 
 
-def survival_probability(params: ShelvingParams, t_grid) -> np.ndarray:
-    """No-emission probability of the initial state A at each grid time.
+def survival_probability(params: ShelvingParams, t_max: float, n_outputs: int) -> tuple:
+    """``(ts, p0)``: the no-emission probability of the initial state A at the
+    even times ``ts = np.linspace(0, t_max, n_outputs + 1)``.
 
-    ``t_grid`` is the even grid k*t_max/n from 0 to t_max (as
-    ``np.linspace(0, t_max, n + 1)`` gives it), evaluated with one
-    exponential, or a single positive time; anything else raises
-    ValueError.  The dark-period regime is not checked: outside it the
+    The curve takes one exponential, over one grid step.  A ``t_max`` that
+    is not positive and finite raises ValueError, and so does a count that
+    ``plan`` refuses.  The dark-period regime is not checked: outside it the
     survival need not be a single exponential, which
     ``validate_regime_shelving`` reports.
     """
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    t_max, n = ts.max(initial=0.0), max(ts.size - 1, 1)
-    if ts.ndim != 1 or not 0.0 < t_max < math.inf or ts.size > 1 and (
-            np.abs(ts - t_max * (np.arange(n + 1) / n)).max() > 1e-6 * t_max / n):
-        raise ValueError("t_grid must be the even grid k*t_max/n, k = 0..n, from 0 to a positive "
-                         f"finite t_max, or one positive time; got {np.array2string(ts, threshold=6)}")
-    p = plan(build_generator_shelving(params), t_max, n_outputs=n)
-    return np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    p = plan(build_generator_shelving(params), t_max, n_outputs=n_outputs)
+    ts = np.linspace(0.0, p.t_total, p.n_outputs + 1)
+    return ts, np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
 
 
 def fit_dark_time(params: ShelvingParams) -> float:
@@ -100,9 +97,7 @@ def fit_dark_time(params: ShelvingParams) -> float:
     [0, 2 T_dark] around the analytic estimate.  The samples from T_dark/10
     on give the returned -1/slope of a least-squares line through log P0(t).
     """
-    ts = np.linspace(0.0, 2.0 * dark_time(params), 201)
-    p0 = survival_probability(params, ts)
-    ts, p0 = ts[10:], p0[10:]
+    ts, p0 = (a[10:] for a in survival_probability(params, 2.0 * dark_time(params), 200))
     if np.any(p0 <= 0.0):
         raise ArithmeticError("survival vanished inside the fit window")
     design = np.column_stack([ts, np.ones_like(ts)])

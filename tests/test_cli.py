@@ -172,14 +172,18 @@ def test_scan_lambda_deterministic(capsys, tmp_path):
     assert all(r["gamma"] == "0.0001" for r in rows)
 
 
-def test_scan_single_point_degenerates_to_run(capsys):
+@pytest.mark.parametrize("start,stop,spacing", [
+    ("0.1", "0.1", "linear"), ("0.05", "0.2", "linear"), ("0.05", "0.2", "log")])
+def test_scan_single_point_degenerates_to_run(capsys, start, stop, spacing):
+    # one point is --start, whatever --stop and the spacing
     code, out, _ = run_cli(
         capsys, "scan", "--scheme", "lambda", "--sweep", "omega0",
-        "--start", "0.1", "--stop", "0.1", "--count", "1",
+        "--start", start, "--stop", stop, "--count", "1", "--spacing", spacing,
     )
     assert code == 0
     (row,) = parse_rows(out)
-    code2, out2, _ = run_cli(capsys, "run", "--scheme", "lambda", "--omega0", "0.1")
+    assert row["omega0_or_omega20"] == start
+    code2, out2, _ = run_cli(capsys, "run", "--scheme", "lambda", "--omega0", start)
     (row2,) = parse_rows(out2)
     assert row == row2
 
@@ -433,11 +437,12 @@ INVALID = [
        f"missing required parameter {SWEEP[i]!r}") for i in range(0, len(SWEEP), 2)),
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "5e-324"), "",
      "error: t_total=5e-324 over 500 grid steps gives a step dt=0.0 below the smallest normal float"),
-    # numpy refuses these 6.94 EiB grids at once, so nothing is allocated
+    # numpy refuses this 6.94 EiB grid at once, so nothing is allocated
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.005", "--stop", "0.2",
       "--count", "1000000000000000000"), "", "error: Unable to allocate"),
+    # and plan refuses a survival curve of more steps than floats count exactly, before any grid
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
-     "error: Unable to allocate"),
+     "exceeds 2**53 grid steps"),
     # a value that does not parse names the expected type, not a helper's name
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.01", "--stop", "0.1", "--count", "1.5"), "",
      "argument --count: expected an integer >= 1, got '1.5'\n"),
@@ -521,8 +526,8 @@ def test_raman_cli_and_library_runs_spelled_alike_agree_bitwise(capsys, flag, va
 def test_shelving_cli_and_library_runs_spelled_alike_agree_bitwise(capsys):
     _, out, _ = run_cli(capsys, "run", "--scheme", "shelving", "--omega-w", "0.02")
     params = ShelvingParams(0.02)
-    ts = np.linspace(0.0, 2.0 * dark_time(params), DEFAULT_OUTPUTS + 1)
-    assert f"p0_final={_fmt(float(survival_probability(params, ts)[-1]))}" in out.splitlines()
+    _, p0 = survival_probability(params, 2.0 * dark_time(params), DEFAULT_OUTPUTS)
+    assert f"p0_final={_fmt(float(p0[-1]))}" in out.splitlines()
 
 
 def test_unwritable_output_path(capsys, tmp_path):
@@ -683,6 +688,9 @@ def test_help_names_schemes_and_commands_of_every_option():
                 "gamma0", "gamma1", "gamma2"):
         assert actions[f"--{key}"].help.endswith("[raman; all commands]")
     assert actions["--tmax"].help.endswith("[shelving; run]")
+    # scan and converge refuse shelving, so its rates are read by run and validate only
+    for flag in ("--omega-w", "--omega-s", "--gamma-s"):
+        assert actions[flag].help.endswith("[shelving; run, validate]")
 
 
 

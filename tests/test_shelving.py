@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate.hilbert import SchemeMismatchError, build_basis
+from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
+from cavgate.propagator import plan, propagate
 from cavgate.shelving import (
     ShelvingParams,
     build_generator_shelving,
@@ -68,23 +69,25 @@ def test_dark_time_values_and_scalings():
 
 def test_survival_probability_basics():
     params = ShelvingParams(0.02, 1.0, 1.0)
-    ts = np.linspace(0.0, 5000.0, 200)
-    p0 = survival_probability(params, ts)
+    ts, p0 = survival_probability(params, 5000.0, 199)
+    assert ts.shape == p0.shape == (200,)
     assert p0[0] == pytest.approx(1.0, abs=1e-14)
     assert np.all(np.diff(p0) <= 1e-12)
-    with pytest.raises(ValueError):
-        survival_probability(params, [-1.0])
+    for t_max in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="t_max"):
+            survival_probability(params, t_max, 10)
 
 
-def test_survival_probability_rejects_an_uneven_grid():
-    # one exponential serves an even grid only; an uneven one is an error, not a slow path
-    # the message names t_grid and its contract, not a plan the caller never built
+@pytest.mark.parametrize("t_max,n", [(5000.0, 500), (1000.0, 20), (1234.5, 1)])
+def test_survival_probability_is_propagate_over_its_even_grid(t_max, n):
+    # the curve builds the grid its callers used to pass, and keeps every bit
     params = ShelvingParams(0.02, 1.0, 1.0)
-    contract = (r"^t_grid must be the even grid k\*t_max/n, k = 0\.\.n, from 0 to a positive "
-                r"finite t_max, or one positive time; got \[")
-    for t_grid in ([0.0, 1.0, 3.0], [0.0, 2500.0, 1000.0], [0, 3, 10], [0.0]):
-        with pytest.raises(ValueError, match=contract):
-            survival_probability(params, t_grid)
+    ts, p0 = survival_probability(params, t_max, n)
+    p = plan(build_generator_shelving(params), t_max, n_outputs=n)
+    grid = np.linspace(0.0, t_max, n + 1)
+    states = propagate(p, basis_state(p.generator.basis, 0, "A"), grid)
+    assert np.array_equal(ts, grid)
+    assert np.array_equal(p0, [s.squared_norm() for s in states])
 
 
 def test_fitted_dark_time_matches_estimate():
