@@ -16,7 +16,6 @@ from .hilbert import (
     StateVector,
     basis_state,
     build_basis,
-    dfs_projector,
     qubit_indices,
 )
 from .lambda_gate import (

@@ -56,7 +56,6 @@ __all__ = [
     "as_rate",
     "set_rates",
     "qubit_state",
-    "dfs_projector",
     "qubit_indices",
     "lambda_symmetrization_matrix",
     "fock_lowering",
@@ -97,7 +96,8 @@ CNOT_MATRIX = np.array(
 )
 CNOT_MATRIX.flags.writeable = False  # every fidelity in the process reads it
 
-#: Labels spanning the decoherence-free subspace of the lambda scheme.
+#: Decoherence-free subspace of the lambda scheme: the zero-photon states
+#: that the undriven generator leaves alone (a test derives this list).
 DFS_LABELS = ((0, "00"), (0, "01"), (0, "10"), (0, "11"), (0, "a"))
 
 SCHEMES = ("lambda", "raman", "shelving")
@@ -285,20 +285,6 @@ def qubit_indices(basis: Basis) -> tuple:
     if not set(QUBIT_CONFIGS) <= set(_CONFIGS[basis.scheme]):
         raise SchemeMismatchError(f"no qubit subspace in the {basis.scheme!r} scheme")
     return tuple(basis.index(0, c) for c in QUBIT_CONFIGS)
-
-
-def dfs_projector(basis: Basis) -> Operator:
-    """Orthogonal projector onto the five-dimensional decoherence-free subspace.
-
-    The subspace is spanned by the zero-photon qubit configurations together
-    with the zero-photon antisymmetric bus state ``a``.  The projector is
-    idempotent and Hermitian with trace 5.
-    """
-    basis.require_scheme("lambda")
-    p = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    idx = [basis.index(n, c) for n, c in DFS_LABELS]
-    p[idx, idx] = 1.0
-    return Operator(basis, p)
 
 
 def lambda_symmetrization_matrix() -> np.ndarray:

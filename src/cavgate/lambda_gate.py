@@ -48,7 +48,6 @@ __all__ = [
     "EffectiveRates",
     "build_generator_lambda",
     "cavity_coupling",
-    "laser_coupling",
     "pulse_duration",
     "effective_rates",
     "effective_dfs_evolution",
@@ -164,17 +163,7 @@ def build_generator_lambda(params: LambdaParams, basis: Basis) -> ConditionalGen
 
 def cavity_coupling(basis: Basis) -> Operator:
     """Atom-cavity interaction operator alone (annihilates the DFS)."""
-    basis.require_scheme("lambda")
-    cavity = _product_terms(basis.n_max)[0]
-    return Operator(basis, _to_symmetrized(assemble(basis.dim, [1.0], [cavity]), basis.n_max + 1))
-
-
-def laser_coupling(basis: Basis, omega0: float) -> Operator:
-    """Laser drive operator alone."""
-    basis.require_scheme("lambda")
-    laser = _product_terms(basis.n_max)[1]
-    return Operator(basis, _to_symmetrized(assemble(basis.dim, [omega0 / 2.0], [laser]),
-                                           basis.n_max + 1))
+    return Operator(basis, _hamiltonian_matrix(1.0, 0.0, 0.0, 0.0, basis))
 
 
 def pulse_duration(params: LambdaParams) -> float:
@@ -218,7 +207,8 @@ def _dfs_block_matrix(omega: float, rates: EffectiveRates) -> np.ndarray:
 def effective_dfs_evolution(initial, params: LambdaParams, t: float) -> np.ndarray:
     """Evolve the five decoherence-free amplitudes for a time t.
 
-    ``initial`` holds the finite amplitudes (c_00, c_01, c_10, c_11, c_a).
+    ``initial`` holds the finite amplitudes (c_00, c_01, c_10, c_11, c_a),
+    in ``hilbert.DFS_LABELS`` order.
     With k1, k2 = ``effective_rates(params)``, c_01 is conserved, c_00
     decays as exp(-4 k1 t), and the remaining three amplitudes follow the
     closed linear system solved here by exact matrix exponentiation.

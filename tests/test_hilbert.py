@@ -13,12 +13,11 @@ from cavgate.hilbert import (
     SchemeMismatchError,
     basis_state,
     build_basis,
-    dfs_projector,
     fock_lowering,
     lambda_symmetrization_matrix,
     qubit_indices,
 )
-from cavgate.lambda_gate import LambdaParams, cavity_coupling, laser_coupling
+from cavgate.lambda_gate import LambdaParams, build_generator_lambda, cavity_coupling
 from cavgate.metrics import gate_run
 from cavgate.propagator import plan, propagate
 from cavgate.raman_gate import RamanParams
@@ -126,26 +125,15 @@ def test_qubit_indices_order():
         qubit_indices(build_basis("shelving", 0))
 
 
-def test_dfs_projector_structure():
-    b = build_basis("lambda", 2)
-    p = dfs_projector(b).matrix
-    assert np.abs(p @ p - p).max() <= 1e-12
-    assert np.abs(p - p.conj().T).max() <= 1e-12
-    assert np.trace(p).real == pytest.approx(5.0, abs=1e-12)
-
-
-def test_dfs_projector_action():
-    b = build_basis("lambda", 2)
-    p = dfs_projector(b)
-    v10 = basis_state(b, 0, "10")
-    assert np.allclose(p.matrix @ v10.amplitudes, v10.amplitudes, atol=1e-14)
-    assert not np.any(p.matrix @ basis_state(b, 0, "s").amplitudes)
-    assert not np.any(p.matrix @ basis_state(b, 1, "00").amplitudes)
-
-
-def test_dfs_projector_rejects_other_schemes():
-    with pytest.raises(SchemeMismatchError):
-        dfs_projector(build_basis("raman", 1))
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 100.0])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_dfs_labels_are_the_states_the_undriven_generator_leaves_alone(n_max, kappa):
+    # kappa > 0: an ideal cavity also leaves photon states and truncation
+    # artefacts such as (1, 00) and (2, 22) alone
+    b = build_basis("lambda", n_max)
+    g = build_generator_lambda(LambdaParams(omega0=0.0, kappa=kappa, gamma=0.0), b).matrix
+    alone = np.flatnonzero(~g.any(axis=0) & ~g.any(axis=1))
+    assert alone.tolist() == [b.index(n, c) for n, c in DFS_LABELS]
 
 
 def test_atom_cavity_coupling_annihilates_dfs():
@@ -159,18 +147,22 @@ def test_atom_cavity_coupling_annihilates_dfs():
     assert np.linalg.norm(hc @ vs) > 1.0
 
 
-def test_projected_laser_drive_couples_bus_only():
-    # inside the protected subspace the drive reduces to a 10 <-> a <-> 11
-    # ladder with amplitudes +omega/2 and -omega/2
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+def test_projected_laser_drive_couples_bus_only(gamma):
+    # inside the protected subspace the generator reduces to a 10 <-> a <-> 11
+    # ladder with amplitudes +omega/2 and -omega/2, and the bus state a alone
+    # decays, at the direct gamma/2 of k2
     b = build_basis("lambda", 1)
     omega0 = 0.3
-    p = dfs_projector(b).matrix
-    h = p @ laser_coupling(b, omega0).matrix @ p
+    idx = [b.index(n, c) for n, c in DFS_LABELS]
+    g = build_generator_lambda(LambdaParams(omega0=omega0, kappa=1.0, gamma=gamma), b).matrix
+    h = 1j * g[np.ix_(idx, idx)]
     om = omega0 / np.sqrt(2.0)
     expected = np.zeros_like(h)
-    i10, i11, ia = b.index(0, "10"), b.index(0, "11"), b.index(0, "a")
+    i10, i11, ia = (DFS_LABELS.index((0, c)) for c in ("10", "11", "a"))
     expected[i10, ia] = expected[ia, i10] = om / 2.0
     expected[ia, i11] = expected[i11, ia] = -om / 2.0
+    expected[ia, ia] = -0.5j * gamma
     assert np.abs(h - expected).max() <= 1e-12
 
 

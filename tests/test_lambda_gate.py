@@ -11,6 +11,7 @@ from cavgate.lambda_gate import (
     LambdaParams,
     _dfs_block_matrix,
     build_generator_lambda,
+    cavity_coupling,
     effective_dfs_evolution,
     effective_rates,
     first_order_gate_matrix,
@@ -58,6 +59,8 @@ def test_laser_off_freezes_zero_photon_sector():
 def test_generator_rejects_wrong_scheme():
     with pytest.raises(SchemeMismatchError):
         build_generator_lambda(LambdaParams(omega0=0.1), build_basis("raman", 1))
+    with pytest.raises(SchemeMismatchError):
+        cavity_coupling(build_basis("raman", 1))
 
 
 def test_decay_part_is_negative_semidefinite():
