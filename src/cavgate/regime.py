@@ -42,6 +42,9 @@ LEVEL_VIOLATION = "violation"
 
 DEFAULT_THRESHOLD = 0.1
 
+# the only map from a check's level to the command line's exit code
+_EXIT_CODES = {LEVEL_PASS: 0, LEVEL_WARN: 1, LEVEL_VIOLATION: 2}
+
 # relative difference below which ``equality_check`` counts two rates as equal
 _EQUALITY_RTOL = 1e-12
 
@@ -68,34 +71,16 @@ class RegimeReport:
     checks: tuple
 
     @property
-    def n_warnings(self) -> int:
-        return sum(1 for c in self.checks if c.level == LEVEL_WARN)
-
-    @property
-    def has_violation(self) -> bool:
-        return any(c.level == LEVEL_VIOLATION for c in self.checks)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.level == LEVEL_PASS for c in self.checks)
-
-    @property
     def exit_code(self) -> int:
         """0 all pass, 1 warnings only, 2 at least one violation."""
-        if self.has_violation:
-            return 2
-        return 0 if self.all_pass else 1
-
-    def check(self, name: str) -> RegimeCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(f"no regime check named {name!r}")
+        return max((_EXIT_CODES[c.level] for c in self.checks), default=0)
 
     def lines(self) -> list:
+        code = self.exit_code
+        warned = sum(c.level == LEVEL_WARN for c in self.checks)
         head = f"regime report ({self.scheme}): " + (
-            "all conditions satisfied" if self.all_pass else
-            f"{self.n_warnings} warning(s)" + (", violation" if self.has_violation else "")
+            "all conditions satisfied" if code == 0 else
+            f"{warned} warning(s)" + (", violation" if code == 2 else "")
         )
         return [head] + [c.line() for c in self.checks]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Basis, ConditionalGenerator, basis_state, build_basis, set_rates
-from .propagator import plan, propagate
+from .propagator import _ROUNDOFF_BOUND, plan, propagate
 from .regime import DEFAULT_THRESHOLD, RegimeReport, ratio_check
 
 __all__ = [
@@ -96,14 +96,18 @@ def fit_dark_time(params: ShelvingParams) -> float:
     The survival curve is sampled once, on the 201 even times over
     [0, 2 T_dark] around the analytic estimate.  The samples from T_dark/10
     on give the returned -1/slope of a least-squares line through log P0(t).
+    An ArithmeticError is raised unless log P0 falls along that line by more
+    than the roundoff bound of an exponential across the window.
     """
     ts, p0 = (a[10:] for a in survival_probability(params, 2.0 * dark_time(params), 200))
     if np.any(p0 <= 0.0):
         raise ArithmeticError("survival vanished inside the fit window")
     design = np.column_stack([ts, np.ones_like(ts)])
     slope, _ = np.linalg.lstsq(design, np.log(p0), rcond=None)[0]
-    if slope >= 0.0:
-        raise ArithmeticError("survival did not decay over the fit window")
+    decay = -slope * (ts[-1] - ts[0])
+    if not decay > _ROUNDOFF_BOUND:
+        raise ArithmeticError(f"log P0 fell by {decay:.3g} over the fit window, not more than "
+                              f"the roundoff bound {_ROUNDOFF_BOUND:g}")
     return float(-1.0 / slope)
 
 

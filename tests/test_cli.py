@@ -474,6 +474,9 @@ INVALID = [
           ("run", "lambda", "--omega0", "1e-12"),
           ("run", "shelving", "--omega-w", "1e-8"),
           ("run", "shelving", "--omega-w", "1e-9"))),
+    # the survival falls by roundoff only, so no dark time can be fitted
+    (("run", "--scheme", "shelving", "--omega-w", "1e4"), "",
+     " over the fit window, not more than the roundoff bound 1e-06\n"),
 ]
 
 
@@ -751,6 +754,12 @@ PINNED = [
      "[     pass] gamma_much_less_than_omega: ratio=0 threshold=0.1\n"
      "[     pass] omega_much_less_than_g2_over_kappa: ratio=0.07071 threshold=0.1\n"
      "[     pass] omega_much_less_than_kappa: ratio=0.07071 threshold=0.1\n"),
+    (("validate", "--scheme", "lambda", "--omega0", "0.1", "--kappa", "0"), 2,
+     "regime report (lambda): 0 warning(s), violation\n"
+     "[     pass] gamma_much_less_than_omega: ratio=0 threshold=0.1\n"
+     "[     pass] omega_much_less_than_g2_over_kappa: ratio=0 threshold=0.1\n"
+     "[violation] omega_much_less_than_kappa: ratio=inf threshold=0.1 "
+     "(denominator is not positive)\n"),
     (("validate", "--scheme", "raman", "--omega20", "0.05"), 1,
      "regime report (raman): 1 warning(s)\n"
      "[     pass] omega0_eff_equals_omega1_eff: ratio=0 threshold=1e-12\n"

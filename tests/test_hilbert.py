@@ -10,7 +10,9 @@ from cavgate.hilbert import (
     DFS_LABELS,
     LAMBDA_CONFIGS,
     RAMAN_CONFIGS,
+    Operator,
     SchemeMismatchError,
+    StateVector,
     basis_state,
     build_basis,
     fock_lowering,
@@ -82,6 +84,18 @@ def test_invalid_inputs():
         build_basis("lambda", -1)
     with pytest.raises(ValueError):
         build_basis("rydberg", 2)
+
+
+def test_states_and_operators_refuse_a_shape_or_basis_that_does_not_fit():
+    b = build_basis("lambda", 1)
+    with pytest.raises(ValueError, match=r"^amplitude array has shape \(3,\), expected \(18,\)$"):
+        StateVector(b, np.zeros(3))
+    with pytest.raises(ValueError, match="^cannot take the overlap of states over different bases$"):
+        basis_state(b, 0, "10").overlap(basis_state(build_basis("lambda", 2), 0, "10"))
+    with pytest.raises(ValueError, match=r"^matrix shape \(18, 17\) does not match basis dimension 18$"):
+        Operator(b, np.zeros((18, 17)))
+    with pytest.raises(ValueError, match="^n_max must be >= 0$"):
+        fock_lowering(-1)
 
 
 def test_basis_state_examples():

@@ -149,6 +149,11 @@ def test_effective_dfs_evolution_rejects_an_unusable_time(t):
         effective_dfs_evolution([0, 0, 1, 0, 0], LambdaParams(omega0=0.1), t)
 
 
+def test_effective_dfs_evolution_takes_five_amplitudes():
+    with pytest.raises(ValueError, match=r"^expected 5 decoherence-free amplitudes, got shape \(4,\)$"):
+        effective_dfs_evolution([0, 0, 1, 0], LambdaParams(omega0=0.1), 1.0)
+
+
 @pytest.mark.parametrize("initial", [[math.nan, 0, 1, 0, 0], [0, 0, 1, 0, math.inf],
                                      [0, 0, 1, 1j * math.inf, 0]])
 def test_effective_dfs_evolution_rejects_non_finite_amplitudes(initial):
@@ -206,7 +211,7 @@ def test_first_order_success_probability_input_validation():
 
 def test_validate_regime_lambda():
     rep = validate_regime_lambda(LambdaParams(omega0=0.1, kappa=1.0, gamma=0.0))
-    assert rep.all_pass and rep.exit_code == 0
+    assert rep.exit_code == 0
     ratios = [c.ratio for c in rep.checks]
     assert ratios[0] == 0.0
     assert ratios[1] == pytest.approx(0.07071, rel=1e-3)
@@ -214,11 +219,11 @@ def test_validate_regime_lambda():
 
     om = LambdaParams(omega0=0.1, kappa=1.0, gamma=0.1 / np.sqrt(2))
     rep2 = validate_regime_lambda(om)
-    assert rep2.check("gamma_much_less_than_omega").level == "warn"
+    assert {c.name: c.level for c in rep2.checks}["gamma_much_less_than_omega"] == "warn"
     assert rep2.exit_code == 1
 
     rep3 = validate_regime_lambda(LambdaParams(omega0=0.1, kappa=0.0))
-    assert rep3.has_violation and rep3.exit_code == 2
+    assert rep3.exit_code == 2
 
 
 def test_hermitian_limit_conserves_norm():

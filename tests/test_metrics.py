@@ -104,7 +104,7 @@ def test_gate_run_lambda_reference_point():
     assert res.gate_time == pytest.approx(62.83185307179586, rel=1e-12)
     assert res.p0 * res.fidelity <= 1.0 + 1e-12
     assert res.fidelity_unconditional == pytest.approx(res.fidelity * res.p0, rel=1e-12)
-    assert validate_regime_lambda(params).all_pass
+    assert validate_regime_lambda(params).exit_code == 0
 
 
 def test_gate_run_stationary_input_is_exact():

@@ -110,6 +110,16 @@ def test_fitted_dark_time_against_the_slow_eigenvalue(omega_w, low, high):
     assert low <= abs(fit_dark_time(params) - slow) / slow <= high
 
 
+# far outside the dark-period regime the survival over [T_dark/10, 2 T_dark]
+# falls by roundoff only (1e-9 and below), or rises by it at omega_w = 100
+@pytest.mark.parametrize("params", [ShelvingParams(10.0), ShelvingParams(1e3), ShelvingParams(1e4),
+                                    ShelvingParams(1.0, gamma_s=1e6), ShelvingParams(100.0)], ids=repr)
+def test_fit_refuses_a_window_that_sees_only_roundoff(params):
+    with pytest.raises(ArithmeticError, match=r"^log P0 fell by \S+ over the fit window, "
+                                              r"not more than the roundoff bound 1e-06$"):
+        fit_dark_time(params)
+
+
 def test_fitted_dark_time_scalings():
     base = fit_dark_time(ShelvingParams(0.02, 1.0, 1.0))
     double_w = fit_dark_time(ShelvingParams(0.04, 1.0, 1.0))
@@ -122,7 +132,7 @@ def test_fitted_dark_time_scalings():
 
 def test_validate_regime_shelving():
     good = validate_regime_shelving(ShelvingParams(0.02, 1.0, 1.0))
-    assert good.all_pass
+    assert good.exit_code == 0
     bad = validate_regime_shelving(ShelvingParams(0.5, 1.0, 1.0))
     assert bad.exit_code == 1
     undefined = validate_regime_shelving(ShelvingParams(0.02, 1.0, 0.0))
