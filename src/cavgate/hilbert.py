@@ -28,10 +28,9 @@ as their nonzero entries (``sparse_term``) and scaled and summed by
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,6 +103,8 @@ SCHEMES = ("lambda", "raman", "shelving")
 
 _CONFIGS = dict(zip(SCHEMES, (LAMBDA_CONFIGS, RAMAN_CONFIGS, SHELVING_CONFIGS)))
 
+_MAX_DIM = 2048  # states; building the 2016-state raman generator peaks at about 0.7 GB
+
 
 class SchemeMismatchError(ValueError):
     """An operation received a basis built for a different level scheme."""
@@ -151,32 +152,32 @@ def qubit_state(psi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """Ordered, truncated basis of (photon number, atomic configuration) labels.
-
-    Immutable after construction.
-    """
+    """Truncated basis of (photon number, configuration) labels, photon-number
+    major: a value named by its scheme and cutoff, from which it is computed."""
 
     scheme: str
     n_max: int
-    labels: tuple
-    _index: dict = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        return (self.n_max + 1) * len(_CONFIGS[self.scheme])
+
+    @property
+    def labels(self) -> tuple:
+        return tuple((n, c) for n in range(self.n_max + 1) for c in _CONFIGS[self.scheme])
 
     def index(self, n: int, config: str) -> int:
         """Integer index of the label (n, config), config being one of the
         scheme's configuration strings, e.g. "1e2" for raman; raises
         ValueError on unknown labels and on a non-integral n."""
-        key = (as_integer("n", n), config)
-        try:
-            return self._index[key]
-        except (KeyError, TypeError):  # an unhashable config is no label either
+        n = as_integer("n", n)
+        configs = _CONFIGS[self.scheme]
+        if not (0 <= n <= self.n_max and isinstance(config, str) and config in configs):
             raise ValueError(
-                f"label (n={key[0]}, config={key[1]!r}) is not in the "
+                f"label (n={n}, config={config!r}) is not in the "
                 f"{self.scheme} basis with n_max={self.n_max}"
-            ) from None
+            )
+        return n * len(configs) + configs.index(config)
 
     def require_scheme(self, scheme: str) -> None:
         if self.scheme != scheme:
@@ -188,8 +189,9 @@ def build_basis(scheme: str, n_max: int) -> Basis:
 
     Dimensions: (n_max+1)*9 for lambda, (n_max+1)*36 for raman, and always 3
     for shelving, which has no cavity mode: its cutoff is checked, then
-    stored as 0, so all shelving bases are equal.  Memoised: equal arguments
-    return the same (immutable) ``Basis``.
+    stored as 0, so all shelving bases are equal.  A basis of more than 2048
+    states (lambda n_max > 226, raman n_max > 55) raises ValueError, since no
+    dense generator of that size is built.
 
     Parameters
     ----------
@@ -202,15 +204,11 @@ def build_basis(scheme: str, n_max: int) -> Basis:
     n_max = as_integer("n_max", n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return _basis(scheme, 0 if scheme == "shelving" else n_max)
-
-
-# keyed on checked arguments: True == 1 would otherwise hit the cutoff-1 entry
-@functools.lru_cache(maxsize=32)
-def _basis(scheme: str, n_max: int) -> Basis:
-    labels = tuple((n, c) for n in range(n_max + 1) for c in _CONFIGS[scheme])
-    index = {lab: i for i, lab in enumerate(labels)}
-    return Basis(scheme=scheme, n_max=n_max, labels=labels, _index=index)
+    basis = Basis(scheme, 0 if scheme == "shelving" else n_max)
+    if basis.dim > _MAX_DIM:
+        raise ValueError(f"n_max={n_max} gives a {scheme} basis of {basis.dim} states, "
+                         f"more than the {_MAX_DIM} a dense generator is built for")
+    return basis
 
 
 @dataclass

@@ -443,6 +443,9 @@ INVALID = [
     # and plan refuses a survival curve of more steps than floats count exactly, before any grid
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
      "exceeds 2**53 grid steps"),
+    # a cutoff too large for a dense generator is refused before any basis is built
+    (("run", "--scheme", "lambda", "--omega0", "0.1", "--n-max", "100000000"), "",
+     "n_max=100000000 gives a lambda basis of 900000009 states"),
     # a value that does not parse names the expected type, not a helper's name
     (("scan", "--scheme", "lambda", "--sweep", "omega0", "--start", "0.01", "--stop", "0.1", "--count", "1.5"), "",
      "argument --count: expected an integer >= 1, got '1.5'\n"),

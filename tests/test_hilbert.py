@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_label_ordering_is_photon_major():
 
 
 @pytest.mark.parametrize("scheme,n_max", [
-    ("lambda", 0), ("lambda", 2), ("raman", 0), ("raman", 1), ("shelving", 0),
+    *((scheme, n) for scheme in ("lambda", "raman") for n in range(6)), ("shelving", 3),
 ])
 def test_index_round_trip(scheme, n_max):
     b = build_basis(scheme, n_max)
@@ -84,6 +85,21 @@ def test_invalid_inputs():
         build_basis("lambda", -1)
     with pytest.raises(ValueError):
         build_basis("rydberg", 2)
+
+
+@pytest.mark.parametrize("scheme,n_max,dim", [("lambda", 226, 2043), ("raman", 55, 2016)])
+def test_the_largest_cutoff_a_dense_generator_holds(scheme, n_max, dim):
+    assert build_basis(scheme, n_max).dim == dim
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"n_max={n_max + 1} gives a {scheme} basis of 2052 states, more than the 2048")):
+        build_basis(scheme, n_max + 1)
+
+
+def test_a_huge_cutoff_is_refused_before_anything_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^n_max=100000000 gives a lambda basis of 900000009 states"):
+        build_basis("lambda", 10**8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_states_and_operators_refuse_a_shape_or_basis_that_does_not_fit():
@@ -124,6 +140,12 @@ def test_unknown_label_names_the_label():
         build_basis("raman", 2).index(1, ("1", "e2"))
     with pytest.raises(ValueError, match=r"config=\['0', '0'\]"):
         build_basis("raman", 2).index(0, ["0", "0"])
+    # outside the photon ladder, and an array that compares equal to a label
+    for n, config, shown in ((-1, "00", "'00'"), (2, "00", "'00'"),
+                             (0, np.array(["00"]), "array(['00'], dtype='<U2')")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"label (n={n}, config={shown}) is not in the lambda basis with n_max=1") + "$"):
+            b.index(n, config)
 
 
 def test_raman_configs_are_unambiguous():
@@ -204,9 +226,7 @@ def test_non_integral_cutoffs_and_photon_numbers_are_rejected():
         build_basis("lambda", 2).index(1.9, "00")
     with pytest.raises(ValueError, match="n_max"):
         fock_lowering(2.7)
-    # a bool is a flag, not a count: n_max=True would quietly run at cutoff 1,
-    # also where the cutoff-1 basis is cached
-    build_basis("lambda", 1)
+    # a bool is a flag, not a count: n_max=True would quietly run at cutoff 1
     with pytest.raises(ValueError, match="^n_max must be an integer, got True$"):
         build_basis("lambda", True)
     with pytest.raises(ValueError, match="^n_max must be an integer, got True$"):
@@ -218,7 +238,8 @@ def test_non_integral_cutoffs_and_photon_numbers_are_rejected():
     with pytest.raises(ValueError, match="^n_outputs must be an integer, got True$"):
         plan(build_generator_shelving(ShelvingParams(0.02)), 1.0, n_outputs=True)
     # integral floats still name the integer
-    assert build_basis("raman", 1.0) is build_basis("raman", 1)
+    assert build_basis("raman", 1.0) == build_basis("raman", 1)
+    assert hash(build_basis("raman", 1.0)) == hash(build_basis("raman", 1))
     assert build_basis("lambda", 2).index(1.0, "00") == 9
 
 
