@@ -411,5 +411,5 @@ def main(argv=None) -> int:
         handler = dict(zip(COMMANDS, (cmd_run, cmd_scan, cmd_validate, cmd_converge)))
         return handler[args.command](values, scheme)
     except (ValueError, TypeError, OSError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -23,7 +23,10 @@ qubit states of lambda and raman.
 
 Generators are assembled from constant operator terms, one per rate, kept
 as their nonzero entries (``sparse_term``) and scaled and summed by
-``assemble``; the scheme modules cache the terms of each photon cutoff.
+``assemble``.  ``cavity_terms`` alone builds the photon ladder, the cavity
+coupling and the photon number (scaled by the cavity loss) of the lambda,
+raman and reduced raman generators; the scheme modules give it their
+atomic operators and cache the terms of each photon cutoff.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "ket_bra",
     "two_atom",
     "sparse_term",
+    "cavity_terms",
     "assemble",
 ]
 
@@ -339,6 +343,22 @@ def sparse_term(m: np.ndarray) -> tuple:
     flat.flags.writeable = False
     values.flags.writeable = False
     return flat, values
+
+
+def cavity_terms(n_max: int, atom_ops, coupling: np.ndarray | None = None,
+                 number: np.ndarray | None = None) -> tuple:
+    """Read-only ``sparse_term``s of atoms sharing one cavity mode, in order:
+    each of ``atom_ops`` in every photon sector 0..n_max, the coupling
+    i b (x) ``coupling`` + h.c. if one is given, and the photon number
+    b'b (x) ``number`` (the atomic identity if None)."""
+    b = fock_lowering(n_max)
+    terms = [np.kron(np.eye(n_max + 1, dtype=np.complex128), op) for op in atom_ops]
+    if coupling is not None:
+        t = 1j * np.kron(b, coupling)
+        terms.append(t + t.conj().T)
+    number = np.eye(len(atom_ops[0]), dtype=np.complex128) if number is None else number
+    terms.append(np.kron(b.conj().T @ b, number))
+    return tuple(sparse_term(t) for t in terms)
 
 
 def assemble(dim: int, coefficients, terms) -> np.ndarray:

@@ -28,12 +28,11 @@ from .hilbert import (
     ConditionalGenerator,
     Operator,
     assemble,
-    fock_lowering,
+    cavity_terms,
     ket_bra,
     lambda_symmetrization_matrix,
     qubit_state,
     set_rates,
-    sparse_term,
     two_atom,
 )
 from .propagator import expm
@@ -91,13 +90,6 @@ class EffectiveRates:
     k2: float
 
 
-# single-atom operators on the 0/1/2 level space
-_T21 = ket_bra(3, 2, 1)   # |2><1|
-_T02 = ket_bra(3, 0, 2)   # |0><2|
-_T12 = ket_bra(3, 1, 2)   # |1><2|
-_P22 = ket_bra(3, 2, 2)
-
-
 @functools.lru_cache(maxsize=8)
 def _symmetrizer(n_sectors: int) -> np.ndarray:
     """kron(I, W) over n_sectors photon sectors (read-only)."""
@@ -115,24 +107,16 @@ def _to_symmetrized(h_product: np.ndarray, n_sectors: int) -> np.ndarray:
 def _product_terms(n_max: int) -> tuple:
     """Constant terms of the three-level Hamiltonian in the product basis.
 
-    In the order ``_hamiltonian_matrix`` scales and adds them: the cavity
-    coupling i sum_i (|2>_i<1| b - h.c.), the laser drive
-    |0>_2<2| + |1>_1<2| + h.c., the photon number and the level-2
-    population of both atoms.  Read-only ``sparse_term``s, built on first
+    In the order ``_hamiltonian_matrix`` scales and adds them: the laser
+    drive |0>_2<2| + |1>_1<2| + h.c., the level-2 population of both
+    atoms, the cavity coupling i sum_i (|2>_i<1| b - h.c.) and the photon
+    number.  Read-only sparse terms from ``cavity_terms``, built on first
     use of a cutoff.
     """
-    nf = n_max + 1
-    b = fock_lowering(n_max)
-    sectors = np.eye(nf, dtype=np.complex128)
-    cavity = 1j * np.kron(b, two_atom(_T21, _T21))
-    lower = two_atom(_T12, _T02)
-    terms = (
-        cavity + cavity.conj().T,
-        np.kron(sectors, lower + lower.conj().T),
-        np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128)),
-        np.kron(sectors, two_atom(_P22, _P22)),
-    )
-    return tuple(sparse_term(t) for t in terms)
+    lower = two_atom(ket_bra(3, 1, 2), ket_bra(3, 0, 2))
+    p2, jump = ket_bra(3, 2, 2), ket_bra(3, 2, 1)
+    return cavity_terms(n_max, (lower + lower.conj().T, two_atom(p2, p2)),
+                        coupling=two_atom(jump, jump))
 
 
 def _hamiltonian_matrix(g: float, omega0: float, kappa: float, gamma: float,
@@ -144,7 +128,7 @@ def _hamiltonian_matrix(g: float, omega0: float, kappa: float, gamma: float,
     ``basis.n_max`` are cached; each call only scales and adds them.
     """
     basis.require_scheme("lambda")
-    h = assemble(basis.dim, (g, omega0 / 2.0, -0.5j * kappa, -0.5j * gamma),
+    h = assemble(basis.dim, (omega0 / 2.0, -0.5j * gamma, g, -0.5j * kappa),
                  _product_terms(basis.n_max))
     return _to_symmetrized(h, basis.n_max + 1)
 

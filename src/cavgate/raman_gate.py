@@ -31,10 +31,9 @@ from .hilbert import (
     RAMAN_LEVELS,
     as_rate,
     assemble,
-    fock_lowering,
+    cavity_terms,
     ket_bra,
     set_rates,
-    sparse_term,
     two_atom,
 )
 from .lambda_gate import _hamiltonian_matrix as _three_level_hamiltonian, _to_symmetrized
@@ -145,13 +144,9 @@ def _raman_terms(n_max: int) -> tuple:
     In the order ``build_generator_raman`` scales and adds them: the weak
     drive of atom 1 and of atom 2, then for j = 0, 1, 2 the strong drive
     of both atoms and their projector on e_j, then the cavity coupling and
-    the photon number.  Each is a read-only ``sparse_term`` over the
-    (n_max+1)*36 basis, built on first use of a cutoff.
+    the photon number.  Read-only sparse terms from ``cavity_terms`` over
+    the (n_max+1)*36 basis, built on first use of a cutoff.
     """
-    nf = n_max + 1
-    b = fock_lowering(n_max)
-    sectors = np.eye(nf, dtype=np.complex128)
-
     def hermitian(op):
         return op + op.conj().T
 
@@ -161,11 +156,8 @@ def _raman_terms(n_max: int) -> tuple:
         drive = ket_bra(6, _LEV[str(j)], _LEV[f"e{j}"])
         proj = ket_bra(6, _LEV[f"e{j}"], _LEV[f"e{j}"])
         atomic += [hermitian(two_atom(drive, drive)), two_atom(proj, proj)]
-    terms = [np.kron(sectors, op) for op in atomic]
     jump = ket_bra(6, _LEV["e2"], _LEV["1"])
-    terms.append(hermitian(1j * np.kron(b, two_atom(jump, jump))))
-    terms.append(np.kron(b.conj().T @ b, np.eye(36, dtype=np.complex128)))
-    return tuple(sparse_term(t) for t in terms)
+    return cavity_terms(n_max, atomic, coupling=two_atom(jump, jump))
 
 
 def build_generator_raman(params: RamanParams, basis: Basis) -> ConditionalGenerator:
@@ -193,16 +185,12 @@ def _shift_terms(n_max: int) -> tuple:
     In the order ``_shift_hamiltonian`` scales and adds them: the level-j
     population of both atoms for j = 0, 1, 2, the level-2 population of
     atom 1 and of atom 2, then the photon number times the level-1
-    population of both atoms.  Read-only ``sparse_term``s over the
-    (n_max+1)*9 basis, built on first use of a cutoff.
+    population of both atoms.  Read-only sparse terms from ``cavity_terms``
+    over the (n_max+1)*9 basis, built on first use of a cutoff.
     """
-    b = fock_lowering(n_max)
     both = [two_atom(ket_bra(3, j, j), ket_bra(3, j, j)) for j in range(3)]
     p2 = ket_bra(3, 2, 2)
-    sectors = np.eye(n_max + 1, dtype=np.complex128)
-    terms = [np.kron(sectors, op) for op in both + [two_atom(p2), two_atom(atom2=p2)]]
-    terms.append(np.kron(b.conj().T @ b, both[1]))
-    return tuple(sparse_term(t) for t in terms)
+    return cavity_terms(n_max, both + [two_atom(p2), two_atom(atom2=p2)], number=both[1])
 
 
 def _shift_hamiltonian(view: EffectiveLambdaView, n_max: int) -> np.ndarray:

@@ -29,6 +29,8 @@ __all__ = [
     "validate_regime_shelving",
 ]
 
+_MAX_INTERVALS = 2 ** 20  # survival samples are kept as states: 10**6 of them peak near 0.4 GB
+
 
 @dataclass(frozen=True)
 class ShelvingParams:
@@ -79,13 +81,15 @@ def survival_probability(params: ShelvingParams, t_max: float, n_outputs: int) -
 
     The curve takes one exponential, over one grid step.  A ``t_max`` that
     is not positive and finite raises ValueError, and so does a count that
-    ``plan`` refuses.  The dark-period regime is not checked: outside it the
-    survival need not be a single exponential, which
-    ``validate_regime_shelving`` reports.
+    ``plan`` refuses or one above 2**20.  The dark-period regime is not
+    checked: outside it the survival need not be a single exponential,
+    which ``validate_regime_shelving`` reports.
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     p = plan(build_generator_shelving(params), t_max, n_outputs=n_outputs)
+    if p.n_outputs > _MAX_INTERVALS:
+        raise ValueError(f"n_outputs={p.n_outputs} exceeds the 2**20 survival intervals a curve keeps")
     ts = np.linspace(0.0, p.t_total, p.n_outputs + 1)
     return ts, np.array([s.squared_norm() for s in propagate(p, basis_state(p.generator.basis, 0, "A"), ts)])
 

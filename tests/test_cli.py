@@ -443,6 +443,9 @@ INVALID = [
     # and plan refuses a survival curve of more steps than floats count exactly, before any grid
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "1000000000000000000"), "",
      "exceeds 2**53 grid steps"),
+    # and survival_probability a curve of more samples than it keeps, before any is propagated
+    (("run", "--scheme", "shelving", "--omega-w", "0.02", "--n-outputs", "100000000"), "",
+     "error: n_outputs=100000000 exceeds the 2**20 survival intervals a curve keeps\n"),
     # a cutoff too large for a dense generator is refused before any basis is built
     (("run", "--scheme", "lambda", "--omega0", "0.1", "--n-max", "100000000"), "",
      "n_max=100000000 gives a lambda basis of 900000009 states"),
@@ -491,6 +494,13 @@ def test_invalid_input_exits_2_with_its_message(capsys, tmp_path, argv, config, 
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_an_error_without_text_is_named_by_its_type(capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr("cavgate.cli.gate_run", out_of_memory)
+    assert run_cli(capsys, "run", "--scheme", "lambda", "--omega0", "0.1") == (2, "", "error: MemoryError\n")
 
 
 def test_run_raman_unequal_weak_fields_row(capsys):

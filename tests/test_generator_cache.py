@@ -2,8 +2,11 @@
 
 The cached-term builders must reproduce the dense kron builders of
 ``oracles.py`` bit for bit (``np.array_equal``, not a tolerance): the p0
-error of a raman run is roundoff-bound, so any reordered operation would
-move it.  The parameter points are those of the benchmark workloads in
+error of a raman run is roundoff-bound, so a reordered operation that
+changes any rounding would move it.  Only sums whose order cannot change
+the bits may be reordered: lambda adds its terms in another order than
+its dense builder, since each entry receives at most two of them.  The
+parameter points are those of the benchmark workloads in
 ``perfbench/workloads.py`` plus seeded random ones.
 """
 

@@ -20,6 +20,7 @@ from cavgate.lambda_gate import (
     validate_regime_lambda,
 )
 from cavgate.propagator import expm, output_times, plan, propagate
+from cavgate.raman_gate import RamanParams, build_generator_effective
 from oracles import transcribed_generator
 
 
@@ -69,6 +70,22 @@ def test_decay_part_is_negative_semidefinite():
     v = 1j * (h - h.conj().T)  # 2x the decay operator
     assert np.abs(v - v.conj().T).max() <= 1e-14
     assert np.linalg.eigvalsh(v).min() >= -1e-12
+
+
+@pytest.mark.parametrize("model,n_max", [("lambda", 2), ("lambda", 3), ("effective", 2), ("effective", 3)])
+def test_loss_is_kappa_per_photon_plus_gamma_per_atom_in_level_2(model, n_max):
+    # -(G + G') is the loss rate of each basis state, counted from its label;
+    # the reduced raman model has no gamma, so its shifts and coupling add none
+    basis = build_basis("lambda", n_max)
+    if model == "lambda":
+        params = LambdaParams(omega0=0.1, kappa=0.7, gamma=0.3)
+        g, kappa, gamma = build_generator_lambda(params, basis).matrix, params.kappa, params.gamma
+    else:
+        params = RamanParams(kappa=0.01)
+        g, kappa, gamma = build_generator_effective(params, basis).matrix, params.kappa, 0.0
+    in_level_2 = [{"a": 1, "s": 1}.get(config, config.count("2")) for _, config in basis.labels]
+    expected = np.diag([kappa * n + gamma * k for (n, _), k in zip(basis.labels, in_level_2)])
+    assert np.abs(-(g + g.conj().T) - expected).max() <= 1e-14
 
 
 def test_pulse_duration():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -76,6 +78,14 @@ def test_survival_probability_basics():
     for t_max in (-1.0, 0.0):
         with pytest.raises(ValueError, match="t_max"):
             survival_probability(params, t_max, 10)
+
+
+def test_survival_probability_refuses_more_than_2_20_intervals_at_once():
+    # every sample is kept as a state, so an unbounded count heads for gigabytes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^n_outputs=1048577 exceeds the 2\*\*20 survival intervals"):
+        survival_probability(ShelvingParams(0.02), 5000.0, 2 ** 20 + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("t_max,n", [(5000.0, 500), (1000.0, 20), (1234.5, 1)])
