@@ -39,7 +39,6 @@ import numpy as np
 
 __all__ = [
     "LAMBDA_CONFIGS",
-    "LAMBDA_PRODUCT_CONFIGS",
     "RAMAN_LEVELS",
     "RAMAN_CONFIGS",
     "SHELVING_CONFIGS",
@@ -59,7 +58,6 @@ __all__ = [
     "set_rates",
     "qubit_state",
     "qubit_indices",
-    "lambda_symmetrization_matrix",
     "fock_lowering",
     "ket_bra",
     "two_atom",
@@ -69,12 +67,9 @@ __all__ = [
 ]
 
 #: Partially symmetrized two-atom configurations of the lambda scheme, in
-#: storage order.  "a" and "s" are (|12> -+ |21>)/sqrt(2).
+#: storage order.  "a" and "s" are (|12> -+ |21>)/sqrt(2); the rotation from
+#: the product configurations is built in ``lambda_gate``.
 LAMBDA_CONFIGS = ("00", "01", "10", "11", "02", "20", "a", "s", "22")
-
-#: Plain product configurations (atom 1 major) used internally to assemble
-#: lambda-scheme operators before rotating into the symmetrized basis.
-LAMBDA_PRODUCT_CONFIGS = ("00", "01", "02", "10", "11", "12", "20", "21", "22")
 
 #: Single-atom levels of the six-level (Raman) scheme.
 RAMAN_LEVELS = ("0", "1", "2", "e0", "e1", "e2")
@@ -287,27 +282,6 @@ def qubit_indices(basis: Basis) -> tuple:
     if not set(QUBIT_CONFIGS) <= set(_CONFIGS[basis.scheme]):
         raise SchemeMismatchError(f"no qubit subspace in the {basis.scheme!r} scheme")
     return tuple(basis.index(0, c) for c in QUBIT_CONFIGS)
-
-
-def lambda_symmetrization_matrix() -> np.ndarray:
-    """Unitary mapping symmetrized lambda coordinates to product coordinates.
-
-    Columns are the ``LAMBDA_CONFIGS`` vectors expressed over
-    ``LAMBDA_PRODUCT_CONFIGS``: a unit entry for each of the seven labels
-    the two share, and (|12> -+ |21>)/sqrt(2) for ``a`` and ``s``.  Use
-    ``W.conj().T @ H_prod @ W`` to rotate an operator from the product basis
-    into the stored basis.
-    """
-    row = LAMBDA_PRODUCT_CONFIGS.index
-    w = np.zeros((9, 9), dtype=np.complex128)
-    for j, c in enumerate(LAMBDA_CONFIGS):
-        if c not in ("a", "s"):
-            w[row(c), j] = 1.0
-    r = 1.0 / np.sqrt(2.0)
-    a, s = LAMBDA_CONFIGS.index("a"), LAMBDA_CONFIGS.index("s")
-    w[row("12"), [a, s]] = r
-    w[row("21"), [a, s]] = -r, r
-    return w
 
 
 def fock_lowering(n_max: int) -> np.ndarray:

@@ -24,13 +24,13 @@ import numpy as np
 
 from .hilbert import (
     CNOT_MATRIX,
+    LAMBDA_CONFIGS,
     Basis,
     ConditionalGenerator,
     Operator,
     assemble,
     cavity_terms,
     ket_bra,
-    lambda_symmetrization_matrix,
     qubit_state,
     set_rates,
     two_atom,
@@ -92,8 +92,22 @@ class EffectiveRates:
 
 @functools.lru_cache(maxsize=8)
 def _symmetrizer(n_sectors: int) -> np.ndarray:
-    """kron(I, W) over n_sectors photon sectors (read-only)."""
-    w = np.kron(np.eye(n_sectors, dtype=np.complex128), lambda_symmetrization_matrix())
+    """kron(I, W) over n_sectors photon sectors (read-only).
+
+    W's columns are the ``LAMBDA_CONFIGS`` vectors over the product
+    configurations, x1x2 at index 3*x1 + x2 (atom 1 major): a unit entry
+    for each of the seven labels the two share, and (|12> -+ |21>)/sqrt(2)
+    for a and s.  ``W' h W`` rotates a product-basis operator into the
+    stored basis.
+    """
+    r = 1.0 / np.sqrt(2.0)
+    w = np.zeros((9, 9), dtype=np.complex128)
+    for j, c in enumerate(LAMBDA_CONFIGS):
+        if c in ("a", "s"):
+            w[[5, 7], j] = r, (-r if c == "a" else r)  # |12>, |21>
+        else:
+            w[3 * int(c[0]) + int(c[1]), j] = 1.0
+    w = np.kron(np.eye(n_sectors, dtype=np.complex128), w)
     w.flags.writeable = False
     return w
 

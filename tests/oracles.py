@@ -17,10 +17,23 @@ from cavgate.hilbert import (
     RAMAN_LEVELS,
     fock_lowering,
     ket_bra,
-    lambda_symmetrization_matrix,
 )
 
 SYM = ("00", "01", "10", "11", "02", "20", "a", "s", "22")
+
+
+def _sym_vector(label):
+    """A ``SYM`` configuration as a two-atom product vector, atom 1 major."""
+    ket = np.eye(3, dtype=np.complex128)
+    if label in ("a", "s"):
+        sign = -1.0 if label == "a" else 1.0
+        return (np.kron(ket[1], ket[2]) + sign * np.kron(ket[2], ket[1])) / np.sqrt(2.0)
+    return np.kron(ket[int(label[0])], ket[int(label[1])])
+
+
+#: Unitary whose columns are the ``SYM`` vectors over the product configurations.
+W_SYM = np.column_stack([_sym_vector(c) for c in SYM])
+W_SYM.flags.writeable = False
 
 
 def transcribed_generator(g, omega0, kappa, gamma, n_max):
@@ -153,7 +166,7 @@ def kron_hamiltonian_lambda(g, omega0, kappa, gamma, basis):
     h += np.kron(np.eye(nf, dtype=np.complex128), lower + lower.conj().T)
     h += -0.5j * kappa * np.kron(b.conj().T @ b, np.eye(9, dtype=np.complex128))
     h += -0.5j * gamma * np.kron(np.eye(nf, dtype=np.complex128), atom1(_P22) + atom2(_P22))
-    w = np.kron(np.eye(nf, dtype=np.complex128), lambda_symmetrization_matrix())
+    w = np.kron(np.eye(nf, dtype=np.complex128), W_SYM)
     return w.conj().T @ h @ w
 
 
@@ -179,7 +192,7 @@ def kron_shift_hamiltonian(view, n_max):
     p1 = ket_bra(3, 1, 1)
     h = np.kron(np.eye(nf, dtype=np.complex128), sh)
     h += -view.cavity_shift * np.kron(b.conj().T @ b, atom1(p1) + atom2(p1))
-    w = np.kron(np.eye(nf, dtype=np.complex128), lambda_symmetrization_matrix())
+    w = np.kron(np.eye(nf, dtype=np.complex128), W_SYM)
     return w.conj().T @ h @ w
 
 

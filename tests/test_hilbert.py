@@ -17,7 +17,6 @@ from cavgate.hilbert import (
     basis_state,
     build_basis,
     fock_lowering,
-    lambda_symmetrization_matrix,
     qubit_indices,
 )
 from cavgate.lambda_gate import LambdaParams, build_generator_lambda, cavity_coupling
@@ -200,11 +199,6 @@ def test_projected_laser_drive_couples_bus_only(gamma):
     expected[ia, i11] = expected[i11, ia] = -om / 2.0
     expected[ia, ia] = -0.5j * gamma
     assert np.abs(h - expected).max() <= 1e-12
-
-
-def test_symmetrization_matrix_is_unitary():
-    w = lambda_symmetrization_matrix()
-    assert np.abs(w.conj().T @ w - np.eye(9)).max() <= 1e-14
 
 
 def test_basis_equality_and_sharing():

@@ -10,6 +10,7 @@ from cavgate.lambda_gate import (
     EffectiveRates,
     LambdaParams,
     _dfs_block_matrix,
+    _symmetrizer,
     build_generator_lambda,
     cavity_coupling,
     effective_dfs_evolution,
@@ -21,7 +22,7 @@ from cavgate.lambda_gate import (
 )
 from cavgate.propagator import expm, output_times, plan, propagate
 from cavgate.raman_gate import RamanParams, build_generator_effective
-from oracles import transcribed_generator
+from oracles import W_SYM, transcribed_generator
 
 
 @pytest.mark.parametrize("omega0,kappa,gamma,n_max", [
@@ -55,6 +56,18 @@ def test_laser_off_freezes_zero_photon_sector():
     basis = build_basis("lambda", 2)
     g = build_generator_lambda(LambdaParams(omega0=0.0, kappa=1.0, gamma=0.0), basis).matrix
     assert np.abs(g[:9, :9]).max() == 0.0
+
+
+def test_symmetrization_matrix_is_unitary():
+    w = _symmetrizer(1)
+    assert np.abs(w.conj().T @ w - np.eye(9)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_sectors", [1, 2, 3, 4])
+def test_symmetrizer_is_the_oracle_rotation_in_every_photon_sector(n_sectors):
+    w = _symmetrizer(n_sectors)
+    assert not w.flags.writeable
+    assert w.tobytes() == np.kron(np.eye(n_sectors), W_SYM).tobytes()  # zero signs too
 
 
 def test_generator_rejects_wrong_scheme():
