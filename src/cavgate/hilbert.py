@@ -49,7 +49,6 @@ __all__ = [
     "SchemeMismatchError",
     "Basis",
     "StateVector",
-    "Operator",
     "ConditionalGenerator",
     "build_basis",
     "basis_state",
@@ -243,9 +242,13 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Dense square operator over a basis; the matrix is stored as complex128
-    and must be basis.dim x basis.dim."""
+class ConditionalGenerator:
+    """Generator G of conditional no-emission dynamics, d(psi)/dt = G psi.
+
+    G = -i H with H the (non-Hermitian) conditional Hamiltonian, so the
+    squared norm of the evolved state decays monotonically.  The matrix is
+    stored as complex128 and must be basis.dim x basis.dim.
+    """
 
     basis: Basis
     matrix: np.ndarray
@@ -255,15 +258,6 @@ class Operator:
         if m.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(f"matrix shape {m.shape} does not match basis dimension {self.basis.dim}")
         object.__setattr__(self, "matrix", m)
-
-
-class ConditionalGenerator(Operator):
-    """Generator G of conditional no-emission dynamics, d(psi)/dt = G psi.
-
-    G = -i H with H the (non-Hermitian) conditional Hamiltonian, so the
-    squared norm of the evolved state decays monotonically.  The matrix is
-    checked and stored as for ``Operator``.
-    """
 
 
 def basis_state(basis: Basis, n: int, config: str) -> StateVector:

@@ -27,7 +27,6 @@ from .hilbert import (
     LAMBDA_CONFIGS,
     Basis,
     ConditionalGenerator,
-    Operator,
     assemble,
     cavity_terms,
     ket_bra,
@@ -159,9 +158,9 @@ def build_generator_lambda(params: LambdaParams, basis: Basis) -> ConditionalGen
     return ConditionalGenerator(basis, -1j * h)
 
 
-def cavity_coupling(basis: Basis) -> Operator:
-    """Atom-cavity interaction operator alone (annihilates the DFS)."""
-    return Operator(basis, _hamiltonian_matrix(1.0, 0.0, 0.0, 0.0, basis))
+def cavity_coupling(basis: Basis) -> ConditionalGenerator:
+    """-i H_c, the generator with drive and losses off: it annihilates the DFS."""
+    return build_generator_lambda(LambdaParams(omega0=0.0, kappa=0.0, gamma=0.0), basis)
 
 
 def pulse_duration(params: LambdaParams) -> float:

@@ -404,6 +404,12 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
     within [0, t_total]; a gap of k steps spans t_total * (k / steps).
     Initial amplitudes must be finite.
     """
+    return [StateVector(state0.basis, a) for a in _amplitudes(p, state0, t_grid)]
+
+
+def _amplitudes(p: PropagatorPlan, state0: StateVector, t_grid):
+    """``propagate``'s states as full-space amplitude arrays, one at a time,
+    so a caller keeps only what it needs; the checks run on the first."""
     if state0.basis != p.generator.basis:
         raise ValueError("state basis does not match the generator basis")
     ks = _grid_steps(p, t_grid)
@@ -414,15 +420,14 @@ def propagate(p: PropagatorPlan, state0: StateVector, t_grid) -> list:
                          f"got {complex(amps[bad[0]])!r}")
     d = _decompose(p.generator.matrix, amps != 0.0)
     cur = d.into(amps)
-    exps, states = {}, []
+    exps = {}
     for gap in np.diff(ks, prepend=0):
         if gap:
             if gap not in exps:
                 exps[gap] = d.exps(p.t_total * (gap / (p.n_outputs * p.n_sub)))
             for (part, _, _), e in zip(d.leaves, exps[gap]):
                 cur[part] = e @ cur[part]
-        states.append(StateVector(state0.basis, d.out(cur, amps)))
-    return states
+        yield d.out(cur, amps)
 
 
 def output_times(p: PropagatorPlan) -> np.ndarray:

@@ -11,7 +11,7 @@ from cavgate.hilbert import (
     DFS_LABELS,
     LAMBDA_CONFIGS,
     RAMAN_CONFIGS,
-    Operator,
+    ConditionalGenerator,
     SchemeMismatchError,
     StateVector,
     basis_state,
@@ -108,7 +108,7 @@ def test_states_and_operators_refuse_a_shape_or_basis_that_does_not_fit():
     with pytest.raises(ValueError, match="^cannot take the overlap of states over different bases$"):
         basis_state(b, 0, "10").overlap(basis_state(build_basis("lambda", 2), 0, "10"))
     with pytest.raises(ValueError, match=r"^matrix shape \(18, 17\) does not match basis dimension 18$"):
-        Operator(b, np.zeros((18, 17)))
+        ConditionalGenerator(b, np.zeros((18, 17)))
     with pytest.raises(ValueError, match="^n_max must be >= 0$"):
         fock_lowering(-1)
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
+from cavgate.hilbert import ConditionalGenerator, SchemeMismatchError, basis_state, build_basis
 from cavgate.lambda_gate import (
     EffectiveRates,
     LambdaParams,
     _dfs_block_matrix,
+    _hamiltonian_matrix,
     _symmetrizer,
     build_generator_lambda,
     cavity_coupling,
@@ -68,6 +69,16 @@ def test_symmetrizer_is_the_oracle_rotation_in_every_photon_sector(n_sectors):
     w = _symmetrizer(n_sectors)
     assert not w.flags.writeable
     assert w.tobytes() == np.kron(np.eye(n_sectors), W_SYM).tobytes()  # zero signs too
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_cavity_coupling_is_the_generator_with_drive_and_losses_off(n_max):
+    b = build_basis("lambda", n_max)
+    hc = cavity_coupling(b)
+    assert isinstance(hc, ConditionalGenerator)
+    off = build_generator_lambda(LambdaParams(omega0=0.0, kappa=0.0, gamma=0.0), b).matrix
+    assert hc.matrix.tobytes() == off.tobytes()
+    assert hc.matrix.tobytes() == (-1j * _hamiltonian_matrix(1.0, 0.0, 0.0, 0.0, b)).tobytes()
 
 
 def test_generator_rejects_wrong_scheme():

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,11 +82,24 @@ def test_survival_probability_basics():
 
 
 def test_survival_probability_refuses_more_than_2_20_intervals_at_once():
-    # every sample is kept as a state, so an unbounded count heads for gigabytes
+    # the bound limits the output and the run time (about 7 s at 2**20)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^n_outputs=1048577 exceeds the 2\*\*20 survival intervals"):
         survival_probability(ShelvingParams(0.02), 5000.0, 2 ** 20 + 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_survival_probability_keeps_no_state_per_sample():
+    # one float per sample plus the grid's temporaries; a kept state traces near 300 bytes
+    n = 2 ** 14
+    survival_probability(ShelvingParams(0.02), 5000.0, 16)  # caches and imports warm
+    tracemalloc.start()
+    try:
+        survival_probability(ShelvingParams(0.02), 5000.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
 
 
 @pytest.mark.parametrize("t_max,n", [(5000.0, 500), (1000.0, 20), (1234.5, 1)])
