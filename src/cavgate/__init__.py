@@ -11,7 +11,6 @@ analytic weak-driving cross-checks and a scan/validation CLI.
 from .hilbert import (
     Basis,
     ConditionalGenerator,
-    SchemeMismatchError,
     StateVector,
     basis_state,
     build_basis,

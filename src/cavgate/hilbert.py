@@ -46,7 +46,6 @@ __all__ = [
     "CNOT_MATRIX",
     "DFS_LABELS",
     "SCHEMES",
-    "SchemeMismatchError",
     "Basis",
     "StateVector",
     "ConditionalGenerator",
@@ -102,10 +101,6 @@ SCHEMES = ("lambda", "raman", "shelving")
 _CONFIGS = dict(zip(SCHEMES, (LAMBDA_CONFIGS, RAMAN_CONFIGS, SHELVING_CONFIGS)))
 
 _MAX_DIM = 2048  # states; building the 2016-state raman generator peaks at about 0.7 GB
-
-
-class SchemeMismatchError(ValueError):
-    """An operation received a basis built for a different level scheme."""
 
 
 def as_integer(name: str, value) -> int:
@@ -179,7 +174,7 @@ class Basis:
 
     def require_scheme(self, scheme: str) -> None:
         if self.scheme != scheme:
-            raise SchemeMismatchError(f"expected a {scheme!r} basis, got {self.scheme!r}")
+            raise ValueError(f"expected a {scheme!r} basis, got {self.scheme!r}")
 
 
 def build_basis(scheme: str, n_max: int) -> Basis:
@@ -274,7 +269,7 @@ def qubit_indices(basis: Basis) -> tuple:
     scheme whose configurations contain them (lambda and raman).
     """
     if not set(QUBIT_CONFIGS) <= set(_CONFIGS[basis.scheme]):
-        raise SchemeMismatchError(f"no qubit subspace in the {basis.scheme!r} scheme")
+        raise ValueError(f"no qubit subspace in the {basis.scheme!r} scheme")
     return tuple(basis.index(0, c) for c in QUBIT_CONFIGS)
 
 

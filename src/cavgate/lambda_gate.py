@@ -164,11 +164,9 @@ def cavity_coupling(basis: Basis) -> ConditionalGenerator:
 
 
 def pulse_duration(params: LambdaParams) -> float:
-    """Gate pulse length T = 2 pi / omega0; a ValueError naming omega0 is
-    raised unless it is finite."""
-    if params.omega0 <= 0.0:
-        raise ValueError("pulse duration is undefined for omega0 = 0")
-    t = 2.0 * math.pi / params.omega0
+    """Gate pulse length T = 2 pi / omega0, infinite at omega0 = 0; a
+    ValueError naming omega0 is raised unless it is finite."""
+    t = 2.0 * math.pi / params.omega0 if params.omega0 > 0.0 else math.inf
     if not math.isfinite(t):
         raise ValueError(f"pulse length 2 pi/omega0 is not finite at omega0={params.omega0!r}")
     return t

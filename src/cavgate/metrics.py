@@ -124,10 +124,13 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     relax_window : bool
         Three-level scheme only: after the pulse, evolve for a further
         5/gamma with the lasers off so residual bus population decays
-        before the state is scored.  Requires gamma > 0.
+        before the state is scored.
 
-    Raises ArithmeticError when an exponential overflows or p0 exceeds 1 by
-    more than 1e-9, where the roundoff of the squarings swamps the result.
+    Raises ValueError, before anything is propagated, when a time derived
+    from the rates is not finite: the pulse length, or the relax window
+    5/gamma (infinite at gamma = 0).  Raises ArithmeticError when an
+    exponential overflows or p0 exceeds 1 by more than 1e-9, where the
+    roundoff of the squarings swamps the result.
     The parameter regime is not checked here: a run outside it is still
     simulated, and the caller asks ``validate_regime_*`` for the report.
     """
@@ -142,8 +145,10 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
         raise TypeError(f"scheme {scheme!r} needs {kind.__name__}, got {type(params).__name__}")
     if relax_window and kind is not LambdaParams:
         raise ValueError("the relaxation window applies to the lambda scheme only")
-    if relax_window and params.gamma <= 0.0:
-        raise ValueError("relax_window requires gamma > 0 (the window length is 5/gamma)")
+    if relax_window:
+        t_relax = 5.0 / params.gamma if params.gamma > 0.0 else math.inf
+        if not math.isfinite(t_relax):
+            raise ValueError(f"relax window 5/gamma is not finite at gamma={params.gamma!r}")
     t_gate = duration(params)
     basis = build_basis(scheme, DEFAULT_N_MAX[scheme] if n_max is None else n_max)
     gen = build_generator(params, basis)
@@ -152,7 +157,6 @@ def gate_run(scheme: str, params, psi, *, n_max: int | None = None,
     final = propagate(p, embed_qubit_state(basis, v), [t_gate])[0]
 
     if relax_window:
-        t_relax = 5.0 / params.gamma
         dark = build_generator_lambda(LambdaParams(omega0=0.0, kappa=params.kappa, gamma=params.gamma), basis)
         final = propagate(plan(dark, t_relax, min_substeps=min_substeps), final, [t_relax])[0]
 

@@ -209,7 +209,6 @@ def build_generator_effective(params: RamanParams, basis: Basis) -> ConditionalG
     light-shift terms.  The two weak effective Rabi frequencies must be
     equal, since the reduced model is only used for the balanced gate drive.
     """
-    basis.require_scheme("lambda")
     view = effective_lambda_view(params)
     balanced = equality_check("omega0_eff_equals_omega1_eff", view.omega0_eff, view.omega1_eff)
     if balanced.level != LEVEL_PASS:
@@ -225,10 +224,8 @@ def build_generator_effective(params: RamanParams, basis: Basis) -> ConditionalG
 
 def raman_pulse_duration(params: RamanParams) -> float:
     """Weak-field pulse length T = 2 pi / |omega0_eff|, with omega0_eff =
-    -omega20 omega_diag[0] / (2 delta[0]); a ValueError naming those three
-    rates is raised unless it is finite."""
-    if params.omega20 <= 0.0 or params.omega_diag[0] <= 0.0:
-        raise ValueError("pulse duration requires omega20 > 0 and omega_diag[0] > 0")
+    -omega20 omega_diag[0] / (2 delta[0]), infinite when omega0_eff is 0; a
+    ValueError naming those three rates is raised unless it is finite."""
     omega = abs(effective_lambda_view(params).omega0_eff)
     t = 2.0 * math.pi / omega if omega > 0.0 else math.inf
     if not math.isfinite(t):

@@ -69,7 +69,7 @@ def dark_time(params: ShelvingParams) -> float:
     w, s, g = params.omega_w, params.omega_s, params.gamma_s
     denominator = w * w * g
     td = s * s / denominator if denominator > 0.0 else math.inf
-    if not (0.0 < td < math.inf):
+    if not (math.isfinite(td) and td > 0.0):
         raise ValueError(f"dark time omega_s^2/(omega_w^2 gamma_s) must be finite and positive, "
                          f"got omega_w={w!r}, omega_s={s!r}, gamma_s={g!r}")
     return td

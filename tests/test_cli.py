@@ -459,11 +459,12 @@ INVALID = [
     (("run", "--scheme", "shelving", "--omega-w", "0.02", "--tmax", "abc"), "",
      "argument --tmax: expected a positive finite number, got 'abc'\n"),
     # a zero drive, which validate reports as a violation
-    (("run", "--scheme", "lambda", "--omega0", "0"), "", "error: pulse duration is undefined for omega0 = 0\n"),
+    (("run", "--scheme", "lambda", "--omega0", "0"), "",
+     "error: pulse length 2 pi/omega0 is not finite at omega0=0.0\n"),
     (("run", "--scheme", "raman", "--omega20", "0"), "",
-     "error: pulse duration requires omega20 > 0 and omega_diag[0] > 0\n"),
+     "error: pulse length 2 pi/|omega0_eff| is not finite at omega20=0.0, omega_diag[0]=2.0, delta[0]=1000.0\n"),
     (("run", "--scheme", "raman", "--omega00", "0"), "",
-     "error: pulse duration requires omega20 > 0 and omega_diag[0] > 0\n"),
+     "error: pulse length 2 pi/|omega0_eff| is not finite at omega20=0.05, omega_diag[0]=0.0, delta[0]=1000.0\n"),
     (("run", "--scheme", "raman", "--delta2", "0"), "", "delta entries must be positive"),
     (("run", "--scheme", "raman", "--delta", "1e-310"), "",
      "error: kappa defaults to |g_eff| = omega_diag[2]/(2 delta[2]), which is not finite "

@@ -12,7 +12,6 @@ from cavgate.hilbert import (
     LAMBDA_CONFIGS,
     RAMAN_CONFIGS,
     ConditionalGenerator,
-    SchemeMismatchError,
     StateVector,
     basis_state,
     build_basis,
@@ -156,7 +155,7 @@ def test_raman_configs_are_unambiguous():
 def test_qubit_indices_order():
     b = build_basis("lambda", 2)
     assert qubit_indices(b) == tuple(b.index(0, c) for c in ("00", "01", "10", "11"))
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^no qubit subspace in the 'shelving' scheme$"):
         qubit_indices(build_basis("shelving", 0))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate.hilbert import ConditionalGenerator, SchemeMismatchError, basis_state, build_basis
+from cavgate.hilbert import ConditionalGenerator, basis_state, build_basis
 from cavgate.lambda_gate import (
     EffectiveRates,
     LambdaParams,
@@ -82,9 +82,9 @@ def test_cavity_coupling_is_the_generator_with_drive_and_losses_off(n_max):
 
 
 def test_generator_rejects_wrong_scheme():
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^expected a 'lambda' basis, got 'raman'$"):
         build_generator_lambda(LambdaParams(omega0=0.1), build_basis("raman", 1))
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^expected a 'lambda' basis, got 'raman'$"):
         cavity_coupling(build_basis("raman", 1))
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cavgate import metrics
 from cavgate.hilbert import StateVector, basis_state, build_basis
-from cavgate.lambda_gate import LambdaParams, validate_regime_lambda
+from cavgate.lambda_gate import LambdaParams, pulse_duration, validate_regime_lambda
 from cavgate.metrics import (
     CNOT_MATRIX,
     cnot_target,
@@ -15,7 +15,7 @@ from cavgate.metrics import (
     embed_qubit_state,
     gate_run,
 )
-from cavgate.raman_gate import RamanParams
+from cavgate.raman_gate import RamanParams, raman_pulse_duration
 
 E00 = np.array([1, 0, 0, 0], dtype=complex)
 E01 = np.array([0, 1, 0, 0], dtype=complex)
@@ -176,11 +176,35 @@ def test_gate_run_input_validation():
     ("raman", RamanParams(), {"relax_window": True}, ValueError,
      "the relaxation window applies to the lambda scheme only"),
     ("lambda", LambdaParams(omega0=0.1, gamma=0.0), {"relax_window": True}, ValueError,
-     "relax_window requires gamma > 0 (the window length is 5/gamma)"),
-], ids=["unknown_scheme", "lambda_params_to_raman", "raman_params_to_lambda", "relax_raman", "relax_gamma_0"])
+     "relax window 5/gamma is not finite at gamma=0.0"),
+    # 5/gamma overflows, and is refused by name before the pulse runs
+    ("lambda", LambdaParams(omega0=0.1, gamma=1e-320), {"relax_window": True}, ValueError,
+     "relax window 5/gamma is not finite at gamma=1e-320"),
+], ids=["unknown_scheme", "lambda_params_to_raman", "raman_params_to_lambda", "relax_raman", "relax_gamma_0",
+        "relax_gamma_1e-320"])
 def test_gate_run_refusal_messages(scheme, params, kw, error, message):
     with pytest.raises(error) as exc:
         gate_run(scheme, params, E10, **kw)
+    assert str(exc.value) == message
+
+
+RAMAN_PULSE = "pulse length 2 pi/|omega0_eff| is not finite at "
+
+
+# a zero drive gives an infinite pulse, refused by the same check and message as one that overflows
+@pytest.mark.parametrize("duration,params,message", [
+    (pulse_duration, LambdaParams(omega0=0.0), "pulse length 2 pi/omega0 is not finite at omega0=0.0"),
+    (pulse_duration, LambdaParams(omega0=1e-310), "pulse length 2 pi/omega0 is not finite at omega0=1e-310"),
+    (raman_pulse_duration, RamanParams(omega20=0.0),
+     RAMAN_PULSE + "omega20=0.0, omega_diag[0]=2.0, delta[0]=1000.0"),
+    (raman_pulse_duration, RamanParams(omega_diag=(0.0, 2.0, 2.0)),
+     RAMAN_PULSE + "omega20=0.05, omega_diag[0]=0.0, delta[0]=1000.0"),
+    (raman_pulse_duration, RamanParams(omega20=1e-320),
+     RAMAN_PULSE + "omega20=1e-320, omega_diag[0]=2.0, delta[0]=1000.0"),
+], ids=["lambda_omega0_0", "lambda_omega0_1e-310", "raman_omega20_0", "raman_omega00_0", "raman_omega20_1e-320"])
+def test_pulse_length_refusal_messages(duration, params, message):
+    with pytest.raises(ValueError) as exc:
+        duration(params)
     assert str(exc.value) == message
 
 

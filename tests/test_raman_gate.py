@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
+from cavgate.hilbert import basis_state, build_basis
 from cavgate.lambda_gate import _hamiltonian_matrix
 from cavgate.metrics import gate_run
 from cavgate.propagator import output_times, plan, propagate
@@ -195,9 +195,9 @@ def test_effective_generator_rejects_unbalanced_drive():
 
 def test_generator_scheme_checks():
     params = reference_params()
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^expected a 'raman' basis, got 'lambda'$"):
         build_generator_raman(params, build_basis("lambda", 1))
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^expected a 'lambda' basis, got 'raman'$"):
         build_generator_effective(params, build_basis("raman", 1))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cavgate.hilbert import SchemeMismatchError, basis_state, build_basis
+from cavgate.hilbert import basis_state, build_basis
 from cavgate.propagator import plan, propagate
 from cavgate.shelving import (
     ShelvingParams,
@@ -33,7 +33,7 @@ def test_strong_drive_and_decay_default_to_one():
 
 
 def test_generator_scheme_check():
-    with pytest.raises(SchemeMismatchError):
+    with pytest.raises(ValueError, match="^expected a 'shelving' basis, got 'lambda'$"):
         build_generator_shelving(ShelvingParams(0.1, 1.0, 1.0), build_basis("lambda", 1))
 
 
