@@ -1,23 +1,24 @@
 """Propagation of states under a time-independent non-Hermitian generator.
 
 The generator never changes during a run, so ``propagate`` works in two
-steps.  It decomposes the generator once: it takes the block of states
-reachable from the initial state's support and, where the block's diagonal
-falls into well-separated clusters (the far-detuned Raman excited states:
-none, one or two atoms excited), block-diagonalises it exactly, one end
-cluster at a time: a Riccati equation for the invariant subspace, then a
-Sylvester equation for its complement, each solved by a contracting
-fixed-point sweep (Stewart, SIAM Rev. 15, 727 (1973); Bavely & Stewart,
-SIAM J. Numer. Anal. 16, 359 (1979)).  A block that does not split, or
-whose sweeps fail to contract to unit roundoff, is one leaf, whole.  It
-then applies the leaf exponentials, taken once per distinct gap between
-requested times, each over an exact fraction of the run (a gate run is one
-exponential at exactly its length), so cost does not grow with the pulse
-length.  Each split-off leaf is exponentiated shifted by the mean imaginary
-part of its diagonal (a pure phase, so nothing overflows): the squarings
-see norms of order the couplings times the pulse length rather than the
-detuning times it, and their roundoff no longer dominates the result.  A
-whole (unsplit) block is exponentiated unshifted, with omega = 0.
+steps.  It decomposes the generator once: it takes each connected component
+of its nonzero pattern that holds an initial state, each exponentiated on
+its own (a decoupled state shares no other state's squarings), and, where a
+component's diagonal falls into well-separated clusters (the far-detuned
+Raman excited states: none, one or two atoms excited), block-diagonalises it
+exactly, one end cluster at a time: a Riccati equation for the invariant
+subspace, then a Sylvester equation for its complement, each solved by a
+contracting fixed-point sweep (Stewart, SIAM Rev. 15, 727 (1973); Bavely &
+Stewart, SIAM J. Numer. Anal. 16, 359 (1979)).  A component that does not
+split, or whose sweeps fail to contract to unit roundoff, is one leaf,
+whole.  It then applies the leaf exponentials, taken once per distinct gap
+between requested times, each over an exact fraction of the run (a gate run
+is one exponential at exactly its length), so cost does not grow with the
+pulse length.  Each split-off leaf is exponentiated shifted by the mean
+imaginary part of its diagonal (a pure phase, so nothing overflows): the
+squarings see norms of order the couplings times the pulse length rather
+than the detuning times it, and their roundoff no longer dominates the
+result.  A whole (unsplit) component is exponentiated unshifted, omega = 0.
 
 The exponential is scaling and squaring with the diagonal degree-13 Pade
 core (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), the matrix halved until its
@@ -199,32 +200,28 @@ def _count(name: str, value) -> int:
     return n
 
 
-def _reachable(g: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Indices of the states G connects to ``support`` (a boolean mask).
-
-    Memoised on the zero pattern of G and on the support, so every
-    generator with one structure gets the same read-only index array.
-    """
+def _reachable(g: np.ndarray, support: np.ndarray) -> tuple:
+    """One ascending index array per connected component of G's nonzero
+    pattern that holds a state of ``support`` (a boolean mask), memoised on
+    both, so every generator with one structure gets the same read-only arrays."""
     link = g != 0.0
-    return _reachable_block(link.shape, link.tobytes(), support.tobytes())
+    return _components(link.shape, link.tobytes(), support.tobytes())
 
 
 @functools.lru_cache(maxsize=16)
-def _reachable_block(shape: tuple, link: bytes, support: bytes) -> np.ndarray:
-    block = _closure(np.frombuffer(link, dtype=bool).reshape(shape),
-                     np.frombuffer(support, dtype=bool))
-    block.flags.writeable = False
-    return block
-
-
-def _closure(link: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Indices reachable from ``support`` along the nonzero pattern ``link``."""
-    reach = support
-    while True:
-        grown = reach | link[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+def _components(shape: tuple, link: bytes, support: bytes) -> tuple:
+    link = np.frombuffer(link, dtype=bool).reshape(shape)
+    link = link | link.T  # undirected: components are disjoint, whichever state starts one
+    left = np.frombuffer(support, dtype=bool).copy()
+    components = []
+    while left.any():
+        reach = np.arange(len(left)) == np.argmax(left)
+        while not np.array_equal(grown := reach | link[:, reach].any(axis=1), reach):
+            reach = grown
+        left &= ~reach
+        components.append(np.flatnonzero(reach))
+        components[-1].flags.writeable = False
+    return tuple(components)
 
 
 def _grid_steps(p: PropagatorPlan, t_grid) -> np.ndarray:
@@ -326,9 +323,10 @@ def _split(g: np.ndarray, s: int):
 
 @dataclass(frozen=True)
 class _Decomposition:
-    """The reachable block of a generator, split exactly by diagonal cluster.
+    """One connected component of a generator, exponentiated on its own and
+    split exactly by diagonal cluster.
 
-    ``block`` holds the full-space indices of the block in leaf order;
+    ``block`` holds the full-space indices of the component in leaf order;
     ``splits`` one ``(start, stop, X, Y)`` per split, outermost first, where
     [start, stop) is the cluster split off the states from ``start`` on;
     ``leaves`` one ``(slice, generator, omega)`` per diagonal block, with
@@ -359,23 +357,20 @@ class _Decomposition:
             es.append(np.exp(1j * omega * t) * expm(shifted))
         return es
 
-    def out(self, cur: np.ndarray, like: np.ndarray) -> np.ndarray:
+    def out(self, cur: np.ndarray) -> np.ndarray:
         """Decoupled coordinates back, innermost split first (v_s = a + Y b,
-        v_f = b + X v_s), scattered into zeros shaped like ``like``."""
+        v_f = b + X v_s), as the amplitudes at ``block``."""
         v = cur.copy()
         for start, stop, x, y in reversed(self.splits):
             v[start:stop] += y @ v[stop:]
             v[stop:] += x @ v[start:stop]
-        full = np.zeros_like(like)
-        full[self.block] = v
-        return full
+        return v
 
 
-def _decompose(g: np.ndarray, support: np.ndarray) -> _Decomposition:
-    """The states g connects to ``support`` (a boolean mask), split off one
-    end cluster at a time for as long as ``_split`` succeeds.  A block that
-    does not split is one leaf, in reachable order, with omega = 0."""
-    block = _reachable(g, support)
+def _decompose(g: np.ndarray, block: np.ndarray) -> _Decomposition:
+    """The states ``block`` of g (a connected component), split off one end
+    cluster at a time for as long as ``_split`` succeeds.  A block that
+    does not split is one leaf, in ``block``'s order, with omega = 0."""
     g = g[np.ix_(block, block)]
     groups = _clusters(g)
     order = np.concatenate(groups)
@@ -418,16 +413,19 @@ def _amplitudes(p: PropagatorPlan, state0: StateVector, t_grid):
     if bad.size:
         raise ValueError(f"initial amplitude at {state0.basis.labels[bad[0]]!r} is not finite, "
                          f"got {complex(amps[bad[0]])!r}")
-    d = _decompose(p.generator.matrix, amps != 0.0)
-    cur = d.into(amps)
-    exps = {}
+    g = p.generator.matrix
+    ds = [_decompose(g, block) for block in _reachable(g, amps != 0.0)]
+    curs = [d.into(amps) for d in ds]
+    exps = {0: [()] * len(ds)}  # a zero gap leaves every component as it is
     for gap in np.diff(ks, prepend=0):
-        if gap:
-            if gap not in exps:
-                exps[gap] = d.exps(p.t_total * (gap / (p.n_outputs * p.n_sub)))
-            for (part, _, _), e in zip(d.leaves, exps[gap]):
+        if gap not in exps:
+            exps[gap] = [d.exps(p.t_total * (gap / (p.n_outputs * p.n_sub))) for d in ds]
+        full = np.zeros_like(amps)
+        for d, cur, es in zip(ds, curs, exps[gap]):
+            for (part, _, _), e in zip(d.leaves, es):
                 cur[part] = e @ cur[part]
-        yield d.out(cur, amps)
+            full[d.block] = d.out(cur)
+        yield full
 
 
 def output_times(p: PropagatorPlan) -> np.ndarray:

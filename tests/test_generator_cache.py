@@ -144,16 +144,17 @@ def _build(anchor):
 def test_second_gate_run_builds_no_operator_structure(anchor, caches, monkeypatch):
     build = _build(anchor)
     calls = []
-    real_kron, real_closure = np.kron, propagator._closure
+    real_kron = np.kron
     monkeypatch.setattr(np, "kron", lambda *a, **k: calls.append("kron") or real_kron(*a, **k))
-    monkeypatch.setattr(propagator, "_closure", lambda *a: calls.append("closure") or real_closure(*a))
-    for cache in caches + (propagator._reachable_block,):
+    for cache in caches + (propagator._components,):
         cache.cache_clear()
     first = build()
-    assert "kron" in calls and calls.count("closure") == (anchor != "effective")
+    # a gate run finds its components once; the reduced generator is not propagated
+    misses = propagator._components.cache_info().misses
+    assert "kron" in calls and misses == (anchor != "effective")
     calls.clear()
     second = build()
-    assert calls == []
+    assert calls == [] and propagator._components.cache_info().misses == misses
     assert np.array_equal(second, first)
 
 
@@ -164,10 +165,11 @@ def test_cached_arrays_are_read_only_and_generators_are_not():
     g = build_generator_raman(RamanParams(), basis).matrix
     support = np.zeros(basis.dim, dtype=bool)
     support[basis.index(0, "10")] = True
-    block = propagator._reachable(g, support)
+    blocks = propagator._reachable(g, support)
     other = build_generator_raman(RamanParams(omega20=0.02, omega21=0.02, gamma=0.3), basis).matrix
-    assert propagator._reachable(other, support) is block
-    cached = [block, lambda_gate._symmetrizer(4)]
+    assert propagator._reachable(other, support) is blocks
+    assert [len(block) for block in blocks] == [72]
+    cached = [*blocks, lambda_gate._symmetrizer(4)]
     cached += [a for term in raman_gate._raman_terms(2) + raman_gate._shift_terms(2) for a in term]
     cached += [a for term in lambda_gate._product_terms(3) for a in term]
     for a in cached:

@@ -62,6 +62,25 @@ def test_relax_window_is_the_same_on_every_grid(min_substeps):
     assert fingerprint(result) == fingerprint(gate_run("lambda", params, psi, relax_window=True))
 
 
+# 40-digit mpmath.expm of the float64 pulse generator over pulse_duration,
+# then of the dark generator over 5/gamma, from |10> at omega0 0.1, kappa 1
+@pytest.mark.parametrize("gamma,p0", [
+    (1e-3, 0.81654714139193673915),
+    (1e-6, 0.82889844036510741331),
+    (1e-8, 0.82891086725638422865),
+], ids=["1e-3", "1e-6", "1e-8"])
+def test_relax_window_matches_reference(gamma, p0):
+    result = gate_run("lambda", LambdaParams(omega0=0.1, kappa=1.0, gamma=gamma),
+                      [0.0, 0.0, 1.0, 0.0], relax_window=True)
+    assert abs(result.p0 - p0) <= 1e-12
+
+
+def test_superposition_input_matches_reference():
+    # |++> at W1 with gamma = 1e-3; 40-digit mpmath.expm of the float64 generator
+    result = gate_run("lambda", LambdaParams(omega0=0.1, kappa=1.0, gamma=1e-3), [0.5, 0.5, 0.5, 0.5])
+    assert abs(result.p0 - 0.89096619324295787089) <= 1e-13
+
+
 def test_far_detuned_cost_does_not_grow_with_pulse_length(exponentials):
     # W3's pulse is 50x W2's and its detuning 100x: the whole reachable
     # block has |G|_1 T = 1.3e12 against 2.5e8.  Both runs make the same
